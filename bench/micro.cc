@@ -256,39 +256,6 @@ void BM_MapsPriceRound(benchmark::State& state) {
 }
 BENCHMARK(BM_MapsPriceRound)->Range(256, 4096)->Complexity();
 
-void BM_MapsPriceRoundSharded(benchmark::State& state) {
-  // Same round with a lent pool: the per-round maximizer precompute shards
-  // across it (bit-identical results; see DESIGN.md §10).
-  const int tasks_n = static_cast<int>(state.range(0));
-  SyntheticConfig cfg;
-  cfg.num_tasks = tasks_n;
-  cfg.num_workers = tasks_n / 4;
-  cfg.num_periods = 1;
-  cfg.temporal_sigma = 0.0001;
-  cfg.seed = 99;
-  Workload w = GenerateSynthetic(cfg).ValueOrDie();
-  MapsOptions opts;
-  Maps strategy(opts);
-  ThreadPool pool(ThreadPool::DefaultThreadCount());
-  strategy.LendPool(&pool);
-  DemandOracle history = w.oracle.Fork(9);
-  if (!strategy.Warmup(w.grid, &history).ok()) {
-    state.SkipWithError("warmup failed");
-    return;
-  }
-  MarketSnapshot snap(&w.grid, 0, w.tasks, w.workers);
-  std::vector<double> prices;
-  for (auto _ : state) {
-    if (!strategy.PriceRound(snap, &prices).ok()) {
-      state.SkipWithError("price round failed");
-      return;
-    }
-    benchmark::DoNotOptimize(prices.data());
-  }
-  state.SetComplexityN(tasks_n);
-}
-BENCHMARK(BM_MapsPriceRoundSharded)->Range(256, 4096)->Complexity();
-
 void BM_EnginePeriod(benchmark::State& state) {
   // One online period through the MarketEngine event API: submit a burst of
   // tasks, close the period (price + acceptance + matching + lifecycle).
@@ -474,31 +441,6 @@ bool EmitTrackedJson(const std::string& path) {
     r.peak_bytes = strategy.peak_round_bytes();
     results.push_back(r);
 
-    // Same round with a lent pool: the maximizer precompute shards over it
-    // (bit-identical prices). problem_size records the thread count so the
-    // JSON pairs the sharded trajectory with the serial one, mirroring the
-    // other *_pooled entries.
-    {
-      ThreadPool pool(ThreadPool::DefaultThreadCount());
-      Maps sharded(opts);
-      sharded.LendPool(&pool);
-      DemandOracle sharded_history = w.oracle.Fork(9);
-      if (!sharded.Warmup(w.grid, &sharded_history).ok()) {
-        std::cerr << "MAPS sharded warmup failed; no tracked results\n";
-        return false;
-      }
-      TrackedResult sr;
-      sr.name = "maps_price_round_sharded";
-      sr.problem_size = pool.num_threads();
-      sr.ns_per_op = TimeOp(
-          [&] {
-            if (!sharded.PriceRound(snap, &prices).ok()) std::abort();
-          },
-          &sr.iterations);
-      sr.peak_bytes = sharded.peak_round_bytes();
-      results.push_back(sr);
-    }
-
     // Same market, pooled spatial-join graph build.
     GraphBuildWorkspace ws;
     BipartiteGraph g;
@@ -562,13 +504,9 @@ bool EmitTrackedJson(const std::string& path) {
           benchmark::DoNotOptimize(best.ValueOrDie().expected_revenue);
         },
         &r.iterations, 0.5);
-    // The oracle's transient peak is dominated by the one graph it builds
-    // (replicated here including the build workspace it uses internally).
-    GraphBuildWorkspace ows;
-    BipartiteGraph og;
-    BipartiteGraph::BuildInto(snap.tasks(), snap.workers(), snap.grid(),
-                              &ows, &og);
-    r.peak_bytes = og.FootprintBytes() + ows.FootprintBytes();
+    // The oracle's footprint is dominated by the snapshot graph every
+    // combination scores against.
+    r.peak_bytes = snap.graph().FootprintBytes();
     results.push_back(r);
 
     // The same sweep across the thread pool (MAPS_THREADS or hardware
@@ -586,7 +524,7 @@ bool EmitTrackedJson(const std::string& path) {
           benchmark::DoNotOptimize(best.ValueOrDie().expected_revenue);
         },
         &mt.iterations, 0.5);
-    // Graph (shared, built once) plus one sweep scratch per worker — the
+    // Snapshot graph (shared) plus one sweep scratch per worker — the
     // per-world workspace is three n-element vectors plus the matching
     // state, so the pooled footprint grows with the thread count and must
     // be visible in the trajectory.
@@ -685,15 +623,11 @@ bool EmitTrackedJson(const std::string& path) {
     results.push_back(mt);
   }
 
-  // End-to-end period throughput, serial vs pipelined: the pipelined run
-  // prebuilds period t+1's task-side snapshot on the pool while period t is
-  // priced and matched (SimOptions::pipeline_periods); results are
-  // bit-identical, so the pair measures pure overlap. A fixed repetition
-  // count with a freshly warmed strategy per rep (warm-up outside the
-  // timed region) keeps every timed run identical work — a time-budgeted
-  // loop on one strategy would accumulate UCB state at a machine-dependent
-  // rate and drift the gated metric. problem_size: periods per run for the
-  // serial entry, thread count for the pipelined one.
+  // End-to-end period throughput through RunSimulation. A fixed repetition
+  // count with a freshly warmed strategy per rep (warm-up outside the timed
+  // region) keeps every timed run identical work — a time-budgeted loop on
+  // one strategy would accumulate UCB state at a machine-dependent rate and
+  // drift the gated metric. problem_size: periods per run.
   {
     SyntheticConfig cfg;
     cfg.num_tasks = std::max(400, static_cast<int>(20000 * scale));
@@ -730,34 +664,18 @@ bool EmitTrackedJson(const std::string& path) {
     r.problem_size = cfg.num_periods;
     r.iterations = kSimReps;
     r.ns_per_op = time_sim(serial_opts, &r.peak_bytes);
-
-    ThreadPool pool(ThreadPool::DefaultThreadCount());
-    SimOptions pipe_opts;
-    pipe_opts.skip_warmup = true;
-    pipe_opts.engine.pipeline_periods = true;
-    pipe_opts.engine.pool = &pool;
-    TrackedResult mt;
-    mt.name = "simulator_periods_pipelined";
-    mt.problem_size = pool.num_threads();
-    mt.iterations = kSimReps;
-    mt.ns_per_op = time_sim(pipe_opts, &mt.peak_bytes);
-
-    if (r.ns_per_op < 0.0 || mt.ns_per_op < 0.0) {
+    if (r.ns_per_op < 0.0) {
       std::cerr << "MAPS simulation failed; no tracked results\n";
       return false;
     }
     results.push_back(r);
-    results.push_back(mt);
   }
 
   // Online-engine period throughput: the same market class fed through the
   // MarketEngine event API (AddWorker/SubmitTask/ClosePeriod) instead of
   // RunSimulation — the serving path a live deployment pays for. ns_per_op
-  // is per CLOSED PERIOD. The pipelined entry bulk-stages each next period
-  // (StageNextPeriodTasks) over a pool so the task-side snapshot build
-  // overlaps the close; results are bit-identical, the pair measures pure
-  // overlap. Warm-up happens outside the timed region with a fresh
-  // strategy per rep (same rationale as simulator_periods).
+  // is per CLOSED PERIOD. Warm-up happens outside the timed region with a
+  // fresh strategy per rep (same rationale as simulator_periods).
   {
     SyntheticConfig cfg;
     cfg.num_tasks = std::max(400, static_cast<int>(20000 * scale));
@@ -782,8 +700,7 @@ bool EmitTrackedJson(const std::string& path) {
     // One full replay; returns seconds for the timed region, or negative on
     // failure. `metrics` non-null attaches a live registry + trace so the
     // metrics-on variant measures the fully-instrumented close.
-    const auto run_once = [&](ThreadPool* pool, bool staged,
-                              obs::MetricsRegistry* metrics,
+    const auto run_once = [&](obs::MetricsRegistry* metrics,
                               obs::TraceLog* trace, size_t* bytes) -> double {
       MapsOptions mopts;
       Maps strategy(mopts);
@@ -791,7 +708,6 @@ bool EmitTrackedJson(const std::string& path) {
       if (!strategy.Warmup(w.grid, &history).ok()) return -1.0;
       EngineOptions engine_options;
       engine_options.lifecycle = w.lifecycle;
-      engine_options.pool = pool;
       engine_options.metrics = metrics;
       engine_options.trace = trace;
       const auto start = std::chrono::steady_clock::now();
@@ -807,42 +723,19 @@ bool EmitTrackedJson(const std::string& path) {
       };
       submit(0);
       for (int32_t t = 0; t < w.num_periods; ++t) {
-        if (staged && t + 1 < w.num_periods) {
-          const auto [begin, end] = range[t + 1];
-          if (!engine
-                   .StageNextPeriodTasks(w.tasks.data() + begin,
-                                         w.tasks.data() + end,
-                                         w.valuations.data() + begin)
-                   .ok()) {
-            std::abort();
-          }
-        }
         while (next_entry < w.workers.size() &&
                w.workers[next_entry].period == t) {
           if (!engine.AddWorker(w.workers[next_entry]).ok()) std::abort();
           ++next_entry;
         }
         if (!engine.ClosePeriod(&outcome).ok()) return -1.0;
-        if (!staged && t + 1 < w.num_periods) submit(t + 1);
+        if (t + 1 < w.num_periods) submit(t + 1);
       }
       const double sec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
       *bytes = engine.peak_platform_bytes() + engine.peak_strategy_bytes();
       return sec;
-    };
-
-    // Best-of-reps ns per closed period: min (not mean) so one noisy rep
-    // cannot distort a key.
-    const auto time_engine = [&](ThreadPool* pool, bool staged,
-                                 size_t* bytes) -> double {
-      double best_sec = std::numeric_limits<double>::infinity();
-      for (int rep = 0; rep < kEngineReps; ++rep) {
-        const double sec = run_once(pool, staged, nullptr, nullptr, bytes);
-        if (sec < 0.0) return -1.0;
-        best_sec = std::min(best_sec, sec);
-      }
-      return best_sec * 1e9 / w.num_periods;
     };
 
     // engine_period and engine_period_metrics_on are measured as an
@@ -865,10 +758,8 @@ bool EmitTrackedJson(const std::string& path) {
       double best_on = std::numeric_limits<double>::infinity();
       bool failed = false;
       for (int rep = 0; rep < kEngineReps && !failed; ++rep) {
-        const double plain_sec =
-            run_once(nullptr, false, nullptr, nullptr, &r.peak_bytes);
-        const double on_sec =
-            run_once(nullptr, false, &registry, &trace, &ot.peak_bytes);
+        const double plain_sec = run_once(nullptr, nullptr, &r.peak_bytes);
+        const double on_sec = run_once(&registry, &trace, &ot.peak_bytes);
         failed = plain_sec < 0.0 || on_sec < 0.0;
         best_plain = std::min(best_plain, plain_sec);
         best_on = std::min(best_on, on_sec);
@@ -877,19 +768,11 @@ bool EmitTrackedJson(const std::string& path) {
       ot.ns_per_op = failed ? -1.0 : best_on * 1e9 / w.num_periods;
     }
 
-    ThreadPool pool(ThreadPool::DefaultThreadCount());
-    TrackedResult mt;
-    mt.name = "engine_period_pipelined";
-    mt.problem_size = pool.num_threads();
-    mt.iterations = kEngineReps;
-    mt.ns_per_op = time_engine(&pool, true, &mt.peak_bytes);
-
-    if (r.ns_per_op < 0.0 || mt.ns_per_op < 0.0 || ot.ns_per_op < 0.0) {
+    if (r.ns_per_op < 0.0 || ot.ns_per_op < 0.0) {
       std::cerr << "engine replay failed; no tracked results\n";
       return false;
     }
     results.push_back(r);
-    results.push_back(mt);
     results.push_back(ot);
   }
 

@@ -74,6 +74,7 @@ void MarketSnapshot::IndexWorkers() {
     MAPS_DCHECK(w.grid >= 0 && w.grid < g);
     workers_by_grid_[w.grid].push_back(i);
   }
+  BipartiteGraph::BuildInto(tasks_, workers_, *grid_, &graph_ws_, &graph_);
 }
 
 const std::vector<double>& MarketSnapshot::DistancePrefixSumsInGrid(
@@ -110,7 +111,7 @@ size_t MarketSnapshot::FootprintBytes() const {
   for (const auto& v : dist_prefix_by_grid_) {
     bytes += v.capacity() * sizeof(double);
   }
-  return bytes;
+  return bytes + graph_.FootprintBytes();
 }
 
 }  // namespace maps

@@ -1,20 +1,22 @@
 // MarketSnapshot: everything a pricing strategy may observe about one time
-// period — the issued tasks, the available workers, and the grid partition.
-// Valuations are absent by construction.
+// period — the issued tasks, the available workers, the grid partition, and
+// the range-constrained task x worker graph over them. Valuations are absent
+// by construction.
 //
-// Construction is staged so the simulator can pipeline periods (see
-// DESIGN.md §10): the task side (bucketing, descending-distance prefix
-// sums) depends only on the immutable workload and can be built for period
-// t+1 on a worker thread while period t is being priced; the worker side
-// depends on the serial worker-lifecycle state and is attached afterwards.
-// Both stages reuse all internal storage across calls, so a double-buffered
-// pair of snapshots performs no steady-state allocation.
+// Construction is staged: ResetTasks() attaches the task side (bucketing,
+// descending-distance prefix sums), SetWorkers() the worker side and then
+// builds the period's bipartite graph — once, for the pricing round, the
+// platform's matching, and every oracle that scores the period (Algorithm 2
+// line 1 builds it once per period too). Both stages reuse all internal
+// storage, so a snapshot reused across periods performs no steady-state
+// allocation.
 
 #pragma once
 
 #include <vector>
 
 #include "geo/grid.h"
+#include "graph/bipartite_graph.h"
 #include "market/task.h"
 #include "market/worker.h"
 
@@ -37,8 +39,9 @@ class MarketSnapshot {
   void ResetTasks(const GridPartition* grid, int32_t period,
                   const Task* begin, const Task* end);
 
-  /// Stage 2: copies the workers of [begin, end) and rebuilds the per-grid
-  /// worker index. Requires ResetTasks() to have bound a grid.
+  /// Stage 2: copies the workers of [begin, end), rebuilds the per-grid
+  /// worker index, and builds graph(). Requires ResetTasks() to have bound
+  /// a grid.
   void SetWorkers(const Worker* begin, const Worker* end);
 
   int32_t period() const { return period_; }
@@ -47,6 +50,11 @@ class MarketSnapshot {
 
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<Worker>& workers() const { return workers_; }
+
+  /// The period's bipartite graph (left = tasks(), right = workers()) under
+  /// the workers' range constraints. Built by SetWorkers() (or the one-shot
+  /// constructor); stale between a ResetTasks() and the next SetWorkers().
+  const BipartiteGraph& graph() const { return graph_; }
 
   /// Indices into tasks() whose origin lies in `g`.
   const std::vector<int>& TasksInGrid(GridId g) const;
@@ -66,15 +74,15 @@ class MarketSnapshot {
   /// Sum of all task distances in grid `g` (demand-curve scale C).
   double TotalDistanceInGrid(GridId g) const;
 
-  /// Resident bytes of this snapshot's internal storage (task/worker copies
-  /// plus the per-grid indices and prefix sums), by capacity. Used by the
-  /// engine's platform-memory accounting: a double-buffered pair must count
-  /// BOTH slots, not just the one currently handed to the strategy.
+  /// Resident bytes of this snapshot's data (task/worker copies, the
+  /// per-grid indices and prefix sums, the graph), by capacity. Like the
+  /// engine's other scratch, the graph build workspace is not counted.
+  /// Used by the engine's platform-memory accounting.
   size_t FootprintBytes() const;
 
  private:
   void IndexTasks();
-  void IndexWorkers();
+  void IndexWorkers();  // also builds graph_ (needs both sides)
 
   const GridPartition* grid_ = nullptr;
   int32_t period_ = 0;
@@ -85,6 +93,8 @@ class MarketSnapshot {
   std::vector<std::vector<double>> dist_prefix_by_grid_;
   std::vector<double> total_dist_by_grid_;
   std::vector<double> sort_scratch_;
+  GraphBuildWorkspace graph_ws_;
+  BipartiteGraph graph_;
 };
 
 }  // namespace maps

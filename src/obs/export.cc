@@ -58,7 +58,8 @@ void AppendBuckets(const Histogram& h, std::string* out) {
     if (n == 0) continue;
     if (!first) out->push_back(',');
     first = false;
-    *out += "[" + std::to_string(i) + "," + std::to_string(n) + "]";
+    out->append("[").append(std::to_string(i)).append(",");
+    out->append(std::to_string(n)).append("]");
   }
   out->push_back(']');
 }

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace maps {
 
@@ -17,9 +16,6 @@ constexpr double kDeltaEps = 1e-12;
 // Priority scale for plateau growth (see PriceRound): small enough that a
 // plateau step always ranks below any real revenue increase.
 constexpr double kPlateauPriority = 1e-9;
-// Shard cap for the per-round engine precompute: a constant of the
-// consumer, never the thread count (DESIGN.md §8).
-constexpr int64_t kEnginePrecomputeShards = 64;
 
 }  // namespace
 
@@ -155,27 +151,20 @@ void Maps::PrecomputeRoundEngine(int num_grids) {
   engine_punit_.resize(static_cast<size_t>(num_grids) * num_rungs);
   engine_ceiling_.resize(num_grids);
   engine_cursor_.resize(num_grids);
-  // Writes are disjoint per grid and the UCB state is frozen for the whole
-  // round, so the fill is bit-identical for any pool size (including none).
-  const auto shards = SplitRange(num_grids, kEnginePrecomputeShards);
-  ParallelFor(pool_, shards,
-              [&](int /*shard*/, const IndexRange& range, int /*worker*/) {
-                for (int64_t g = range.begin; g < range.end; ++g) {
-                  double* opt = &engine_opt_[g * num_rungs];
-                  double* punit = &engine_punit_[g * num_rungs];
-                  double ceiling = 0.0;
-                  // Descending, mirroring the reference scan's fold order.
-                  for (int i = num_rungs - 1; i >= 0; --i) {
-                    const double p = ladder_.price(i);
-                    opt[i] = ucb_[g].OptimisticUnitRevenue(i);
-                    punit[i] = p * ucb_[g].mean(i);
-                    ceiling = std::max(ceiling, std::min(opt[i], p));
-                  }
-                  engine_ceiling_[g] = ceiling;
-                  engine_cursor_[g] =
-                      EngineCursor{num_rungs - 1, -1, -1.0};
-                }
-              });
+  for (int g = 0; g < num_grids; ++g) {
+    double* opt = &engine_opt_[static_cast<size_t>(g) * num_rungs];
+    double* punit = &engine_punit_[static_cast<size_t>(g) * num_rungs];
+    double ceiling = 0.0;
+    // Descending, mirroring the reference scan's fold order.
+    for (int i = num_rungs - 1; i >= 0; --i) {
+      const double p = ladder_.price(i);
+      opt[i] = ucb_[g].OptimisticUnitRevenue(i);
+      punit[i] = p * ucb_[g].mean(i);
+      ceiling = std::max(ceiling, std::min(opt[i], p));
+    }
+    engine_ceiling_[g] = ceiling;
+    engine_cursor_[g] = EngineCursor{num_rungs - 1, -1, -1.0};
+  }
 }
 
 Maps::Maximizer Maps::EvalMaximizerEngine(
@@ -276,13 +265,11 @@ Status Maps::PriceRound(const MarketSnapshot& snapshot,
           ? base_.base_price()
           : ladder_.Snap(std::sqrt(ladder_.p_min() * ladder_.p_max()));
 
-  // Line 1: the bipartite graph under the range constraints. Graph,
-  // matching, heap, and per-grid scratch are pooled members — steady-state
-  // rounds perform no heap allocation.
-  BipartiteGraph::BuildInto(snapshot.tasks(), snapshot.workers(),
-                            snapshot.grid(), &build_ws_, &graph_);
-  // Line 2: the pre-matching M'.
-  pre_matching_.Reset(&graph_);
+  // Line 1: the bipartite graph under the range constraints, built once
+  // per period by the snapshot. Line 2: the pre-matching M'. Matching,
+  // heap, and per-grid scratch are pooled members — steady-state rounds
+  // perform no heap allocation.
+  pre_matching_.Reset(&snapshot.graph());
 
   grid_prices->assign(num_grids, p_b);
   ResetRoundScratch(num_grids, p_b);
@@ -384,8 +371,7 @@ Status Maps::PriceRound(const MarketSnapshot& snapshot,
   }
 
   size_t round_bytes =
-      graph_.FootprintBytes() + pre_matching_.FootprintBytes() +
-      build_ws_.FootprintBytes() + heap_.capacity() * sizeof(HeapEntry) +
+      pre_matching_.FootprintBytes() + heap_.capacity() * sizeof(HeapEntry) +
       (engine_opt_.capacity() + engine_punit_.capacity() +
        engine_ceiling_.capacity()) *
           sizeof(double) +
@@ -513,8 +499,8 @@ Status Maps::LoadState(StateReader* r) {
 }
 
 size_t Maps::MemoryFootprintBytes() const {
-  // Persistent learned state only; the pooled round scratch (graph +
-  // pre-matching + engine tables) is tracked via peak_round_bytes().
+  // Persistent learned state only; the pooled round scratch (pre-matching
+  // + engine tables) is tracked via peak_round_bytes().
   size_t bytes = base_.MemoryFootprintBytes();
   for (const auto& u : ucb_) bytes += u.FootprintBytes();
   bytes += change_.size() * ladder_.size() * sizeof(ChangeDetector);

@@ -1,7 +1,8 @@
 // MAPS: MAtching-based Pricing Strategy (Sec. 4, Algorithms 2-3).
 //
-// Per period, MAPS (i) builds the task x worker bipartite graph under the
-// range constraints, (ii) greedily distributes the dependent supply: a
+// Per period, MAPS (i) takes the task x worker bipartite graph under the
+// range constraints from the snapshot (built once per period by
+// MarketSnapshot and shared with the platform's matching), (ii) greedily distributes the dependent supply: a
 // max-heap over grids repeatedly admits the single worker addition with the
 // largest increase Delta^g in the approximate expected revenue
 //     L^g(n, p) = min( sum_r d_r * p * S_g(p),  sum_{i<=n} d_{r_i} * p ),
@@ -10,16 +11,15 @@
 // final supply level. Acceptance ratios are learned online with UCB and
 // guarded by a binomial change detector.
 //
-// The matching core is allocation-free in steady state: the graph, the
-// pre-matching, the heap, and every per-grid scratch vector are pooled
-// across rounds, and each heap pop performs at most one alternating-tree
+// The matching core is allocation-free in steady state: the pre-matching,
+// the heap, and every per-grid scratch vector are pooled across rounds, and each heap pop performs at most one alternating-tree
 // walk (the probe records the augmenting path; the later admission
 // revalidates and applies it in O(path) instead of searching again).
 //
 // Within a round the UCB state is frozen, so each grid's per-rung
 // optimistic values are a round constant. PriceRound therefore precomputes
-// them once per round — sharded over a lent ThreadPool under the DESIGN.md
-// §8 fixed-shard policy — and evaluates Algorithm 3 incrementally: because
+// them once per round (grids x rungs, a few thousand values at most, so it
+// runs serially) and evaluates Algorithm 3 incrementally: because
 // the supply ratio is non-decreasing in n, a monotone rung pointer replaces
 // the per-pop ladder scan (see DESIGN.md §10). Results are bit-identical to
 // the reference scan, including the tie rule (larger price on equal index).
@@ -29,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "graph/incremental_matching.h"
 #include "pricing/base_pricing.h"
 #include "pricing/strategy.h"
@@ -96,14 +95,10 @@ class Maps : public PricingStrategy {
 
   Status Warmup(const GridPartition& grid, DemandOracle* history) override;
 
-  /// The lent pool backs the warm-up probe schedule (via BasePricing) and
-  /// PriceRound's per-round maximizer precompute. Both shard per DESIGN.md
-  /// §8/§10, so results are bit-identical with or without a pool. The heap
-  /// admission itself stays sequential by construction.
-  void LendPool(ThreadPool* pool) override {
-    pool_ = pool;
-    base_.LendPool(pool);
-  }
+  /// The lent pool backs the warm-up probe schedule (via BasePricing),
+  /// sharded per DESIGN.md §8, so results are bit-identical with or without
+  /// a pool. PriceRound is sequential by construction.
+  void LendPool(ThreadPool* pool) override { base_.LendPool(pool); }
 
   Status PriceRound(const MarketSnapshot& snapshot,
                     std::vector<double>* grid_prices) override;
@@ -115,8 +110,8 @@ class Maps : public PricingStrategy {
   size_t MemoryFootprintBytes() const override;
 
   /// Learned state: nested BaseP warm-up, per-grid UCB tables, per-rung
-  /// change detectors, and reset counters. Round scratch (graph, heap,
-  /// maximizer engine) is rebuilt every PriceRound and not serialized.
+  /// change detectors, and reset counters. Round scratch (pre-matching,
+  /// heap, maximizer engine) is rebuilt every PriceRound and not serialized.
   /// LoadState commits all-or-nothing.
   Status SaveState(StateWriter* w) const override;
   Status LoadState(StateReader* r) override;
@@ -145,8 +140,9 @@ class Maps : public PricingStrategy {
   /// grid counts must keep this at zero; every increment is also logged.
   int64_t grid_state_resets() const { return grid_state_resets_; }
 
-  /// Peak bytes of the per-round transient structures (bipartite graph +
-  /// pre-matching + maximizer engine). Reported separately from
+  /// Peak bytes of the per-round transient structures (pre-matching + heap
+  /// + maximizer engine; the graph belongs to the snapshot and is counted
+  /// on the platform side). Reported separately from
   /// MemoryFootprintBytes() because they are pooled round-scratch, not
   /// learned state; the ablation bench surfaces them, and a regression
   /// test asserts the value stabilizes after the first rounds (pooling
@@ -201,8 +197,7 @@ class Maps : public PricingStrategy {
                                 double total_dist, int n);
 
   /// Fills the round-frozen engine tables (per-rung optimistic values,
-  /// p * mean, per-grid ceiling) and resets every cursor; sharded over the
-  /// lent pool with per-grid disjoint writes.
+  /// p * mean, per-grid ceiling) and resets every cursor.
   void PrecomputeRoundEngine(int num_grids);
 
   /// Resets the pooled per-round scratch (supplies, traces, recorded
@@ -225,7 +220,6 @@ class Maps : public PricingStrategy {
   PriceLadder ladder_;
   BasePricing base_;
   bool warmed_up_ = false;
-  ThreadPool* pool_ = nullptr;  // non-owning; see LendPool
 
   std::vector<UcbEstimator> ucb_;                  // per grid
   std::vector<std::vector<ChangeDetector>> change_;  // per grid x rung
@@ -238,9 +232,7 @@ class Maps : public PricingStrategy {
 
   // Pooled round scratch (contents are dead between rounds; capacity is
   // retained so steady-state rounds allocate nothing).
-  GraphBuildWorkspace build_ws_;
-  BipartiteGraph graph_;
-  IncrementalMatching pre_matching_;
+  IncrementalMatching pre_matching_;  // over the round's snapshot graph
   std::vector<RecordedPath> pending_path_;  // per grid: next growth step
   std::vector<HeapEntry> heap_;
   std::vector<double> cur_price_;

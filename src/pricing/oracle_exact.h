@@ -81,8 +81,8 @@ McCiEstimate MonteCarloExpectedRevenueWithCI(
     const McCiOptions& options, ThreadPool* pool,
     std::vector<PossibleWorldsWorkspace>* workspaces);
 
-/// \brief Convenience overload: builds the graph and priced tasks from a
-/// snapshot, the true demand, and a per-grid price vector.
+/// \brief Convenience overload: scores the snapshot's graph with priced
+/// tasks built from the true demand and a per-grid price vector.
 McCiEstimate MonteCarloRevenueOfPricesWithCI(
     const MarketSnapshot& snapshot, const DemandOracle& truth,
     const std::vector<double>& grid_prices, const McCiOptions& options,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "graph/bipartite_graph.h"
 #include "graph/possible_worlds.h"
 #include "util/logging.h"
 
@@ -12,11 +11,10 @@ namespace maps {
 
 namespace {
 
-/// Scores one price assignment against a graph built once by the caller.
-/// `priced` and `ws` are caller-owned scratch so the odometer loop performs
-/// no per-combination allocation.
-double ScorePrices(const BipartiteGraph& graph, const MarketSnapshot& snapshot,
-                   const DemandOracle& truth,
+/// Scores one price assignment against the snapshot's graph. `priced` and
+/// `ws` are caller-owned scratch so the odometer loop performs no
+/// per-combination allocation.
+double ScorePrices(const MarketSnapshot& snapshot, const DemandOracle& truth,
                    const std::vector<double>& grid_prices,
                    std::vector<PricedTask>* priced,
                    PossibleWorldsWorkspace* ws) {
@@ -26,7 +24,7 @@ double ScorePrices(const BipartiteGraph& graph, const MarketSnapshot& snapshot,
     priced->push_back(
         PricedTask{t.distance, p, truth.TrueAcceptRatio(t.grid, p)});
   }
-  return ExactExpectedRevenue(graph, *priced, ws);
+  return ExactExpectedRevenue(snapshot.graph(), *priced, ws);
 }
 
 /// Everything one worker needs to sweep combination ranges without touching
@@ -59,8 +57,7 @@ void DecodeCombo(int64_t combo, int ladder_size, std::vector<int>* choice) {
 /// Sweeps combinations [begin, end) in ascending linear-index order.
 /// Identical evaluation per combination regardless of sharding, so the
 /// serial sweep is literally the one-shard case.
-SweepBest SweepRange(const BipartiteGraph& graph,
-                     const MarketSnapshot& snapshot, const DemandOracle& truth,
+SweepBest SweepRange(const MarketSnapshot& snapshot, const DemandOracle& truth,
                      const PriceLadder& ladder,
                      const std::vector<int>& busy_grids, int64_t begin,
                      int64_t end, SweepScratch* scratch) {
@@ -72,7 +69,7 @@ SweepBest SweepRange(const BipartiteGraph& graph,
     for (size_t i = 0; i < busy_grids.size(); ++i) {
       scratch->prices[busy_grids[i]] = ladder.price(scratch->choice[i]);
     }
-    const double value = ScorePrices(graph, snapshot, truth, scratch->prices,
+    const double value = ScorePrices(snapshot, truth, scratch->prices,
                                      &scratch->priced, &scratch->ws);
     // Strict '>' keeps the first (lowest-index) maximum, the global
     // tie-break rule of the ordered reduction.
@@ -99,12 +96,10 @@ constexpr int64_t kOracleSweepShards = 64;
 double ExpectedRevenueOfPrices(const MarketSnapshot& snapshot,
                                const DemandOracle& truth,
                                const std::vector<double>& grid_prices) {
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
   std::vector<PricedTask> priced;
   priced.reserve(snapshot.tasks().size());
   PossibleWorldsWorkspace ws;
-  return ScorePrices(graph, snapshot, truth, grid_prices, &priced, &ws);
+  return ScorePrices(snapshot, truth, grid_prices, &priced, &ws);
 }
 
 Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
@@ -133,11 +128,8 @@ Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
   int64_t total = 1;
   for (size_t i = 0; i < busy_grids.size(); ++i) total *= ladder.size();
 
-  // The graph depends only on geometry, never on prices: build it ONCE for
-  // the whole odometer sweep instead of once per price combination.
-  const BipartiteGraph graph = BipartiteGraph::Build(
-      snapshot.tasks(), snapshot.workers(), snapshot.grid());
-
+  // The graph depends only on geometry, never on prices: every combination
+  // of the sweep scores against the snapshot's one graph.
   const int num_workers = pool == nullptr ? 1 : pool->num_threads();
   std::vector<SweepScratch> scratch(num_workers);
   for (auto& s : scratch) {
@@ -148,8 +140,8 @@ Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
   const SweepBest best = ParallelReduce<SweepBest>(
       pool, shards, SweepBest{},
       [&](int /*shard*/, const IndexRange& range, int worker) {
-        return SweepRange(graph, snapshot, truth, ladder, busy_grids,
-                          range.begin, range.end, &scratch[worker]);
+        return SweepRange(snapshot, truth, ladder, busy_grids, range.begin,
+                          range.end, &scratch[worker]);
       },
       [](SweepBest acc, SweepBest partial) {
         // Deterministic argmax: larger value wins; equal values keep the

@@ -36,7 +36,7 @@ enum SectionId : uint32_t {
   kSectionConfig = 1,    // grid/lifecycle/strategy fingerprint
   kSectionCore = 2,      // period counter + rejection counters
   kSectionWorkers = 3,   // lifecycle table: records, idle order, busy heap
-  kSectionStages = 4,    // both staged task sets + seal flags
+  kSectionStages = 4,    // the open period's submitted tasks
   kSectionPending = 5,   // pending acceptance bits
   kSectionRng = 6,       // repositioning RNG position
   kSectionStrategy = 7,  // PricingStrategy::SaveState payload
@@ -266,8 +266,6 @@ Status PruneCheckpointFiles(const std::string& dir, const std::string& prefix,
 Status MarketEngine::SaveCheckpoint(std::string* out) {
   if (out == nullptr) return Status::InvalidArgument("null output string");
   obs::ScopedTimer save_timer(m_ckpt_save_ns_);
-  // No prebuild job may be running while we serialize the stages it reads.
-  DrainPrebuilds();
 
   StateWriter config;
   config.PutI32(grid_->rows());
@@ -325,22 +323,19 @@ Status MarketEngine::SaveCheckpoint(std::string* out) {
   }
 
   StateWriter stage_w;
-  for (const Stage& stage : stages_) {
-    stage_w.PutBool(stage.sealed);
-    stage_w.PutU64(stage.tasks.size());
-    for (const Task& task : stage.tasks) {
-      stage_w.PutI64(task.id);
-      stage_w.PutI32(task.period);
-      stage_w.PutDouble(task.origin.x);
-      stage_w.PutDouble(task.origin.y);
-      stage_w.PutDouble(task.destination.x);
-      stage_w.PutDouble(task.destination.y);
-      stage_w.PutDouble(task.distance);
-      stage_w.PutI32(task.grid);
-    }
-    // Aligned with tasks by the SubmitTask/StageNextPeriodTasks contract.
-    for (double v : stage.valuations) stage_w.PutDouble(v);
+  stage_w.PutU64(stage_.tasks.size());
+  for (const Task& task : stage_.tasks) {
+    stage_w.PutI64(task.id);
+    stage_w.PutI32(task.period);
+    stage_w.PutDouble(task.origin.x);
+    stage_w.PutDouble(task.origin.y);
+    stage_w.PutDouble(task.destination.x);
+    stage_w.PutDouble(task.destination.y);
+    stage_w.PutDouble(task.distance);
+    stage_w.PutI32(task.grid);
   }
+  // Aligned with tasks by the SubmitTask contract.
+  for (double v : stage_.valuations) stage_w.PutDouble(v);
 
   StateWriter pending;
   std::vector<std::pair<TaskId, bool>> bits(pending_accept_.begin(),
@@ -382,7 +377,6 @@ Status MarketEngine::SaveCheckpoint(std::string* out) {
 
 Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   obs::ScopedTimer restore_timer(m_ckpt_restore_ns_);
-  DrainPrebuilds();
   std::vector<std::string> sections;
   MAPS_RETURN_NOT_OK(internal::ParseCheckpointContainer(
       data, kCheckpointMagic, kCheckpointFormatVersion, kCheckpointNumSections,
@@ -538,43 +532,40 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
     MAPS_RETURN_NOT_OK(r.ExpectEnd("worker section"));
   }
 
-  Stage stages[2];
-  {  // Staged task sets.
+  Stage stage;
+  {  // The open period's submitted tasks.
     StateReader r(sections[kSectionStages - 1]);
-    for (Stage& stage : stages) {
-      MAPS_RETURN_NOT_OK(r.GetBool(&stage.sealed, "stage sealed"));
-      uint64_t n;
-      MAPS_RETURN_NOT_OK(r.GetU64(&n, "staged task count"));
-      // One task is 56 encoded bytes (plus its valuation after the list).
-      MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 56, "staged tasks"));
-      stage.tasks.resize(static_cast<size_t>(n));
-      stage.ids.reserve(stage.tasks.size());
-      for (Task& task : stage.tasks) {
-        MAPS_RETURN_NOT_OK(r.GetI64(&task.id, "task id"));
-        MAPS_RETURN_NOT_OK(r.GetI32(&task.period, "task period"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.x, "task origin x"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.y, "task origin y"));
-        MAPS_RETURN_NOT_OK(
-            r.GetDouble(&task.destination.x, "task destination x"));
-        MAPS_RETURN_NOT_OK(
-            r.GetDouble(&task.destination.y, "task destination y"));
-        MAPS_RETURN_NOT_OK(r.GetDouble(&task.distance, "task distance"));
-        MAPS_RETURN_NOT_OK(r.GetI32(&task.grid, "task grid"));
-        if (task.grid < 0 || task.grid >= grid_->num_cells()) {
-          return Status::InvalidArgument(
-              "staged task " + std::to_string(task.id) + " has grid " +
-              std::to_string(task.grid) + " outside the partition");
-        }
-        if (!stage.ids.insert(task.id).second) {
-          return Status::InvalidArgument(
-              "staged task id " + std::to_string(task.id) +
-              " appears twice in one period");
-        }
+    uint64_t n;
+    MAPS_RETURN_NOT_OK(r.GetU64(&n, "staged task count"));
+    // One task is 56 encoded bytes (plus its valuation after the list).
+    MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 56, "staged tasks"));
+    stage.tasks.resize(static_cast<size_t>(n));
+    stage.ids.reserve(stage.tasks.size());
+    for (Task& task : stage.tasks) {
+      MAPS_RETURN_NOT_OK(r.GetI64(&task.id, "task id"));
+      MAPS_RETURN_NOT_OK(r.GetI32(&task.period, "task period"));
+      MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.x, "task origin x"));
+      MAPS_RETURN_NOT_OK(r.GetDouble(&task.origin.y, "task origin y"));
+      MAPS_RETURN_NOT_OK(
+          r.GetDouble(&task.destination.x, "task destination x"));
+      MAPS_RETURN_NOT_OK(
+          r.GetDouble(&task.destination.y, "task destination y"));
+      MAPS_RETURN_NOT_OK(r.GetDouble(&task.distance, "task distance"));
+      MAPS_RETURN_NOT_OK(r.GetI32(&task.grid, "task grid"));
+      if (task.grid < 0 || task.grid >= grid_->num_cells()) {
+        return Status::InvalidArgument(
+            "staged task " + std::to_string(task.id) + " has grid " +
+            std::to_string(task.grid) + " outside the partition");
       }
-      stage.valuations.resize(stage.tasks.size());
-      for (double& v : stage.valuations) {
-        MAPS_RETURN_NOT_OK(r.GetDouble(&v, "staged valuation"));
+      if (!stage.ids.insert(task.id).second) {
+        return Status::InvalidArgument(
+            "staged task id " + std::to_string(task.id) +
+            " appears twice in one period");
       }
+    }
+    stage.valuations.resize(stage.tasks.size());
+    for (double& v : stage.valuations) {
+      MAPS_RETURN_NOT_OK(r.GetDouble(&v, "staged valuation"));
     }
     MAPS_RETURN_NOT_OK(r.ExpectEnd("stage section"));
   }
@@ -646,14 +637,11 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   busy_ = decltype(busy_)();
   for (const BusyEntry& entry : busy_entries) busy_.push(entry);
   matched_flag_.assign(workers_.size(), 0);
-  stages_[0] = std::move(stages[0]);
-  stages_[1] = std::move(stages[1]);
+  stage_ = std::move(stage);
   pending_accept_ = std::move(pending);
   reposition_rng_.LoadState(rng_state);
-  // The snapshot slots are derived state: ClosePeriod rebuilds the task
-  // side (no prebuild latch is pending — drained above) and re-sets the
-  // worker side every close, so stale slot contents are never observed.
-  slot_bytes_[0] = slot_bytes_[1] = 0;
+  // The snapshot is derived state: every non-skipped ClosePeriod rebuilds
+  // it, so its stale contents are never observed.
   // Wall-clock and footprint diagnostics describe this process, not the
   // run; they restart at zero (documented in DESIGN.md §12).
   strategy_seconds_ = 0.0;

@@ -36,8 +36,9 @@ inline constexpr char kCheckpointMagic[8] = {'M', 'A', 'P', 'S',
 /// Container format version produced by SaveCheckpoint. Readers reject
 /// other versions (no cross-version migration yet; see DESIGN.md §12 for
 /// the compatibility policy). Version 2 added the per-worker-record
-/// `indexed` flag (sharded extraction tombstones).
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+/// `indexed` flag (sharded extraction tombstones); version 3 stores one
+/// stage, the open period's tasks, with no seal flag.
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 /// Number of sections in a single-engine checkpoint container (config,
 /// core counters, workers, staged tasks, pending bits, RNG, strategy).

@@ -61,7 +61,6 @@ MarketEngine::MarketEngine(const GridPartition* grid,
       reposition_rng_(options.lifecycle.reposition_seed) {
   MAPS_CHECK(grid_ != nullptr);
   MAPS_CHECK(strategy_ != nullptr);
-  pipelined_ = options_.pipeline_periods && options_.pool != nullptr;
   // Lent unconditionally so a pool-less engine clears any pool a previous
   // owner lent to a reused strategy (which may be destroyed by now).
   strategy_->LendPool(options_.pool);
@@ -82,90 +81,20 @@ MarketEngine::MarketEngine(const GridPartition* grid,
   }
 }
 
-MarketEngine::~MarketEngine() { DrainPrebuilds(); }
-
-void MarketEngine::DrainPrebuilds() {
-  // A prebuild job captures `this`; no exit path may leave one running.
-  for (auto& latch : prebuild_latch_) {
-    if (latch != nullptr) {
-      latch->Wait();
-      latch.reset();
-    }
-  }
-}
-
-Status MarketEngine::CheckTaskGrids(const Task* begin, const Task* end) const {
-  for (const Task* t = begin; t != end; ++t) {
-    if (t->grid < 0 || t->grid >= grid_->num_cells()) {
-      return Status::InvalidArgument(
-          "task " + std::to_string(t->id) + " grid " +
-          std::to_string(t->grid) + " outside the partition");
-    }
-  }
-  return Status::OK();
-}
-
 Status MarketEngine::SubmitTask(const Task& task, double valuation) {
-  Stage& stage = stages_[period_ & 1];
-  if (stage.sealed) {
-    return Status::FailedPrecondition(
-        "period " + std::to_string(period_) +
-        " was staged in bulk; SubmitTask is closed for it");
+  if (task.grid < 0 || task.grid >= grid_->num_cells()) {
+    return Status::InvalidArgument("task " + std::to_string(task.id) +
+                                   " grid " + std::to_string(task.grid) +
+                                   " outside the partition");
   }
-  MAPS_RETURN_NOT_OK(CheckTaskGrids(&task, &task + 1));
-  if (!stage.ids.insert(task.id).second) {
+  if (!stage_.ids.insert(task.id).second) {
     obs::BumpMirrored(&rejections_.duplicate_tasks, m_reject_.duplicate_tasks);
     return Status::AlreadyExists("task id " + std::to_string(task.id) +
                                  " already submitted for period " +
                                  std::to_string(period_));
   }
-  stage.tasks.push_back(task);
-  stage.valuations.push_back(valuation);
-  return Status::OK();
-}
-
-Status MarketEngine::StageNextPeriodTasks(const Task* begin, const Task* end,
-                                          const double* valuations) {
-  Stage& stage = stages_[(period_ + 1) & 1];
-  if (stage.sealed || !stage.tasks.empty()) {
-    return Status::FailedPrecondition(
-        "period " + std::to_string(period_ + 1) + " already has staged tasks");
-  }
-  MAPS_RETURN_NOT_OK(CheckTaskGrids(begin, end));
-  stage.ids.clear();
-  for (const Task* task = begin; task != end; ++task) {
-    if (!stage.ids.insert(task->id).second) {
-      stage.ids.clear();
-      obs::BumpMirrored(&rejections_.duplicate_tasks,
-                        m_reject_.duplicate_tasks);
-      return Status::InvalidArgument(
-          "staged batch repeats task id " + std::to_string(task->id) +
-          " for period " + std::to_string(period_ + 1));
-    }
-  }
-  stage.tasks.assign(begin, end);
-  if (valuations != nullptr) {
-    stage.valuations.assign(valuations, valuations + (end - begin));
-  } else {
-    stage.valuations.assign(static_cast<size_t>(end - begin), kNoValuation);
-  }
-  stage.sealed = true;
-  if (pipelined_) {
-    // Prebuild the sealed period's task side on the pool: it touches only
-    // the OTHER slot and this stage's (now immutable until the close) task
-    // copy, so it is safe alongside the current period's ClosePeriod() and
-    // bit-identical to the synchronous build (DESIGN.md §10/§11).
-    const int slot = (period_ + 1) & 1;
-    const int32_t p = period_ + 1;
-    prebuild_latch_[slot] = std::make_unique<internal::Latch>(1);
-    internal::Latch* latch = prebuild_latch_[slot].get();
-    options_.pool->Submit([this, slot, p, latch](int /*worker*/) {
-      const Stage& s = stages_[slot];
-      slots_[slot].ResetTasks(grid_, p, s.tasks.data(),
-                              s.tasks.data() + s.tasks.size());
-      latch->Done();
-    });
-  }
+  stage_.tasks.push_back(task);
+  stage_.valuations.push_back(valuation);
   return Status::OK();
 }
 
@@ -346,7 +275,6 @@ Status MarketEngine::AdoptWorker(const Worker& base, int32_t next_free,
 }
 
 void MarketEngine::AdvanceQuietPeriod() {
-  DrainPrebuilds();
   const int32_t t = period_;
   // Rides that ended by now return to the idle list in heap (next_free,
   // index) order, exactly as a real close would have returned them.
@@ -357,7 +285,7 @@ void MarketEngine::AdvanceQuietPeriod() {
   // Drop the open period's events without accounting: the sharded layer
   // already deferred its tasks and kept (or orphan-counted) its bits.
   pending_accept_.clear();
-  stages_[t & 1].Clear();
+  stage_.Clear();
   ++period_;
 }
 
@@ -372,23 +300,6 @@ int64_t MarketEngine::num_live_workers() const {
 Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   if (out == nullptr) return Status::InvalidArgument("null outcome");
   const int32_t t = period_;
-  const int slot = t & 1;
-  Stage& stage = stages_[slot];
-  MarketSnapshot& snapshot = slots_[slot];
-
-  // Finalize the task side: adopt the prebuilt snapshot or build it now.
-  // The span covers the latch wait in the pipelined case so it reports the
-  // close-path cost actually paid, not the (overlapped) build cost.
-  {
-    obs::ScopedTimer prebuild_timer(m_prebuild_ns_);
-    if (prebuild_latch_[slot] != nullptr) {
-      prebuild_latch_[slot]->Wait();
-      prebuild_latch_[slot].reset();
-    } else {
-      snapshot.ResetTasks(grid_, t, stage.tasks.data(),
-                          stage.tasks.data() + stage.tasks.size());
-    }
-  }
 
   out->period = t;
   out->skipped = false;
@@ -397,7 +308,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   out->matches.clear();
   out->revenue = 0.0;
   out->mc_expected_revenue = 0.0;
-  out->num_tasks = static_cast<int32_t>(stage.tasks.size());
+  out->num_tasks = static_cast<int32_t>(stage_.tasks.size());
   out->num_available_workers = 0;
 
   const bool single_use = options_.lifecycle.single_use;
@@ -427,7 +338,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   out->num_available_workers = static_cast<int32_t>(period_workers_.size());
 
   // Dead period: nothing to price or match; the strategy is not consulted.
-  if (stage.tasks.empty() && period_workers_.empty()) {
+  if (stage_.tasks.empty() && period_workers_.empty()) {
     out->skipped = true;
     // No tasks were in the period, so every reported bit is an orphan.
     obs::BumpMirrored(&rejections_.orphan_acceptances,
@@ -435,7 +346,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
                       static_cast<int64_t>(pending_accept_.size()));
     out->rejections = rejections_;
     pending_accept_.clear();
-    stage.Clear();
+    stage_.Clear();
     if (m_periods_closed_ != nullptr) m_periods_closed_->Increment();
     if (m_dead_periods_ != nullptr) m_dead_periods_->Increment();
     if (options_.trace != nullptr) {
@@ -448,14 +359,20 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     return Status::OK();
   }
 
-  snapshot.SetWorkers(period_workers_.data(),
-                      period_workers_.data() + period_workers_.size());
-  slot_bytes_[slot] = snapshot.FootprintBytes();
+  // Build the snapshot: task side, worker side, and the one graph that
+  // pricing, the MC diagnostic and the matching below all read.
+  {
+    obs::ScopedTimer prebuild_timer(m_prebuild_ns_);
+    snapshot_.ResetTasks(grid_, t, stage_.tasks.data(),
+                         stage_.tasks.data() + stage_.tasks.size());
+    snapshot_.SetWorkers(period_workers_.data(),
+                         period_workers_.data() + period_workers_.size());
+  }
 
   // Price.
   const auto price_start = Clock::now();
-  MAPS_RETURN_NOT_OK(strategy_->PriceRound(snapshot, &prices_));
-  if (static_cast<int>(prices_.size()) != snapshot.num_grids()) {
+  MAPS_RETURN_NOT_OK(strategy_->PriceRound(snapshot_, &prices_));
+  if (static_cast<int>(prices_.size()) != snapshot_.num_grids()) {
     return Status::Internal(strategy_->name() +
                             " returned wrong price vector size");
   }
@@ -467,10 +384,10 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   // path), keeping this loop as cheap as the retired batch loop's.
   const bool has_observed_bits = !pending_accept_.empty();
   size_t consumed_bits = 0;
-  accepted_.assign(snapshot.tasks().size(), false);
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
-    const Task& task = snapshot.tasks()[i];
-    bool accepted = stage.valuations[i] >= prices_[task.grid];
+  accepted_.assign(snapshot_.tasks().size(), false);
+  for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
+    const Task& task = snapshot_.tasks()[i];
+    bool accepted = stage_.valuations[i] >= prices_[task.grid];
     if (has_observed_bits) {
       const auto it = pending_accept_.find(task.id);
       if (it != pending_accept_.end()) {
@@ -481,7 +398,7 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     accepted_[i] = accepted;
     if (accepted) out->accepted.push_back(task.id);
   }
-  strategy_->ObserveFeedback(snapshot, prices_, accepted_);
+  strategy_->ObserveFeedback(snapshot_, prices_, accepted_);
   const auto price_end = Clock::now();
   strategy_seconds_ += Seconds(price_start, price_end);
   if (m_price_round_ns_ != nullptr) {
@@ -496,57 +413,47 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
   pending_accept_.clear();
   out->prices.assign(prices_.begin(), prices_.end());
 
-  // Assignment: maximum-weight matching over accepted tasks (Def. 5).
-  // Graph and matching buffers are pooled across periods. The matching span
-  // sums the graph build and the matching call, skipping the MC diagnostic
-  // sandwiched between them.
-  Clock::time_point match_seg_start;
-  int64_t matching_ns = 0;
-  if (m_matching_ns_ != nullptr) match_seg_start = Clock::now();
-  BipartiteGraph::BuildInto(snapshot.tasks(), snapshot.workers(), *grid_,
-                            &graph_ws_, &graph_);
-  if (m_matching_ns_ != nullptr) {
-    matching_ns += Nanos(match_seg_start, Clock::now());
-  }
-
   // Monte-Carlo expected-revenue diagnostic: E[U(B^t)] of the posted prices
   // under the TRUE acceptance ratios (Def. 6) — simulation-only, since it
   // needs the ground-truth oracle. Period t's worlds live in seed family
   // mc_seed + t so every (period, world) pair is an independent,
   // reproducible stream.
   if (options_.mc_worlds > 0 && options_.mc_oracle != nullptr &&
-      !snapshot.tasks().empty()) {
+      !snapshot_.tasks().empty()) {
     obs::ScopedTimer mc_timer(m_mc_diag_ns_);
     mc_priced_.clear();
-    for (const Task& task : snapshot.tasks()) {
+    for (const Task& task : snapshot_.tasks()) {
       const double p = prices_[task.grid];
       mc_priced_.push_back(PricedTask{
           task.distance, p, options_.mc_oracle->TrueAcceptRatio(task.grid, p)});
     }
     out->mc_expected_revenue = MonteCarloExpectedRevenue(
-        graph_, mc_priced_, options_.mc_seed + static_cast<uint64_t>(t),
-        options_.mc_worlds, options_.pool, &mc_workspaces_);
+        snapshot_.graph(), mc_priced_,
+        options_.mc_seed + static_cast<uint64_t>(t), options_.mc_worlds,
+        options_.pool, &mc_workspaces_);
   }
 
-  if (m_matching_ns_ != nullptr) match_seg_start = Clock::now();
-  weights_.assign(snapshot.tasks().size(), -1.0);
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
+  // Assignment: maximum-weight matching over accepted tasks (Def. 5) on the
+  // snapshot's graph; matching buffers are pooled across periods.
+  Clock::time_point match_start;
+  if (m_matching_ns_ != nullptr) match_start = Clock::now();
+  weights_.assign(snapshot_.tasks().size(), -1.0);
+  for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
     if (!accepted_[i]) continue;
     weights_[i] =
-        snapshot.tasks()[i].distance * prices_[snapshot.tasks()[i].grid];
+        snapshot_.tasks()[i].distance * prices_[snapshot_.tasks()[i].grid];
   }
   // Called for the matching it leaves in match_ws_.inc; revenue needs
   // per-task attribution below, not the returned total.
-  (void)MaxWeightTaskMatchingValue(graph_, weights_, &match_ws_);
+  (void)MaxWeightTaskMatchingValue(snapshot_.graph(), weights_, &match_ws_);
   if (m_matching_ns_ != nullptr) {
-    matching_ns += Nanos(match_seg_start, Clock::now());
-    m_matching_ns_->Record(matching_ns);
+    m_matching_ns_->Record(Nanos(match_start, Clock::now()));
   }
   const Matching& period_matching = match_ws_.inc.matching();
 
   // Revenue and worker lifecycle updates.
   int32_t n_matched = 0;
-  for (size_t i = 0; i < snapshot.tasks().size(); ++i) {
+  for (size_t i = 0; i < snapshot_.tasks().size(); ++i) {
     const int r = period_matching.match_left[i];
     if (r == Matching::kUnmatched) continue;
     MAPS_DCHECK(accepted_[i]);
@@ -555,11 +462,11 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     const int idx = pool_of_[r];
     WorkerRecord& rec = workers_[idx];
     out->matches.push_back(
-        MatchRecord{snapshot.tasks()[i].id, rec.base.id, weights_[i]});
+        MatchRecord{snapshot_.tasks()[i].id, rec.base.id, weights_[i]});
     if (single_use) {
       rec.consumed = true;
     } else {
-      const Task& task = snapshot.tasks()[i];
+      const Task& task = snapshot_.tasks()[i];
       const int32_t ride = std::max(
           1, static_cast<int32_t>(std::ceil(task.distance / speed)));
       rec.next_free = t + ride;
@@ -615,18 +522,14 @@ Status MarketEngine::ClosePeriod(PeriodOutcome* out) {
     }
   }
 
-  // Platform footprint: matching graph + BOTH slots of the snapshot double
-  // buffer + the lifecycle table. The other slot's bytes are the value from
-  // its own last finalize (capacities only grow), so a concurrent prebuild
-  // is never read.
+  // Platform footprint: the snapshot (with its graph) + the lifecycle table.
   const size_t platform_bytes =
-      graph_.FootprintBytes() + slot_bytes_[0] + slot_bytes_[1] +
-      workers_.capacity() * sizeof(WorkerRecord);
+      snapshot_.FootprintBytes() + workers_.capacity() * sizeof(WorkerRecord);
   peak_platform_bytes_ = std::max(peak_platform_bytes_, platform_bytes);
   peak_strategy_bytes_ =
       std::max(peak_strategy_bytes_, strategy_->MemoryFootprintBytes());
 
-  stage.Clear();
+  stage_.Clear();
   if (m_periods_closed_ != nullptr) m_periods_closed_->Increment();
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kPeriodClosed, t,

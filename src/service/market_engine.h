@@ -2,11 +2,11 @@
 // out. A production deployment does not hand us a pre-materialized workload;
 // it streams task submissions, worker arrivals/departures, and acceptance
 // feedback, and asks for per-grid price quotes each period. The engine owns
-// everything the per-period loop needs: the double-buffered staged
-// MarketSnapshot pair, the lent ThreadPool, the strategy's
-// PriceRound/ObserveFeedback cycle, the max-weight matching step, the
-// worker-lifecycle state machine, and the optional Monte-Carlo
-// expected-revenue diagnostic.
+// everything the per-period loop needs: the period's MarketSnapshot (and
+// with it the one task x worker graph pricing and matching share), the lent
+// ThreadPool, the strategy's PriceRound/ObserveFeedback cycle, the
+// max-weight matching step, the worker-lifecycle state machine, and the
+// optional Monte-Carlo expected-revenue diagnostic.
 //
 // Event model (batch semantics of Sec. 2, made incremental):
 //   * Between two ClosePeriod() calls the engine has one OPEN period.
@@ -18,22 +18,16 @@
 //     decisions); otherwise a hidden valuation attached at SubmitTask()
 //     decides (v >= price, the simulation path); a task with neither is
 //     treated as declined.
-//   * StageNextPeriodTasks() optionally seals the NEXT period's task set in
-//     bulk; with a pool and pipeline_periods this prebuilds that period's
-//     task-side snapshot concurrently with the current ClosePeriod() — the
-//     replay adapter's pipelining hook. Results are bit-identical with or
-//     without it (DESIGN.md §10/§11).
 //
 // RunSimulation (sim/simulator.h) is now a thin replay adapter that feeds a
 // Workload through exactly this API; the determinism contract (identical
-// events => bit-identical outcomes at any thread count, pipeline on/off) is
-// tested against it.
+// events => bit-identical outcomes at any thread count) is tested against
+// it.
 
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -42,7 +36,6 @@
 #include <vector>
 
 #include "geo/grid.h"
-#include "graph/bipartite_graph.h"
 #include "graph/max_weight_matching.h"
 #include "graph/possible_worlds.h"
 #include "market/demand_oracle.h"
@@ -97,15 +90,8 @@ struct EngineOptions {
   /// Ground-truth demand for the diagnostic. Non-owning; simulation-only —
   /// a live deployment has no oracle and leaves this null.
   const DemandOracle* mc_oracle = nullptr;
-  /// Overlap the next period's task-side snapshot build (bucketing +
-  /// distance prefix sums) with the current ClosePeriod() whenever the next
-  /// period was sealed via StageNextPeriodTasks(). Bit-identical to the
-  /// serial path for any thread count (DESIGN.md §10). No effect without a
-  /// pool.
-  bool pipeline_periods = true;
-  /// Optional pool lent to the strategy (warm-up probe schedule, MAPS's
-  /// per-round maximizer precompute), used by the Monte-Carlo diagnostic,
-  /// and backing the period pipeline. Non-owning; must not be a pool whose
+  /// Optional pool lent to the strategy (warm-up probe schedule) and used
+  /// by the Monte-Carlo diagnostic. Non-owning; must not be a pool whose
   /// workers call into THIS engine (nested waits can deadlock). Results are
   /// bit-identical with or without it.
   ThreadPool* pool = nullptr;
@@ -130,8 +116,8 @@ struct EngineOptions {
 /// deployment alerting on these catches duplicate submissions or stale
 /// acceptance reports without failing the period.
 struct EngineRejectionCounters {
-  /// SubmitTask / StageNextPeriodTasks calls rejected because a task id
-  /// was already submitted for the same period.
+  /// SubmitTask calls rejected because a task id was already submitted for
+  /// the same period.
   int64_t duplicate_tasks = 0;
   /// RemoveWorker calls rejected because the id was never admitted.
   int64_t unknown_worker_removals = 0;
@@ -251,7 +237,6 @@ class MarketEngine {
   ///        before the first ClosePeriod() — the engine never probes.
   MarketEngine(const GridPartition* grid, PricingStrategy* strategy,
                const EngineOptions& options = {});
-  ~MarketEngine();
 
   MarketEngine(const MarketEngine&) = delete;
   MarketEngine& operator=(const MarketEngine&) = delete;
@@ -259,18 +244,10 @@ class MarketEngine {
   /// Submits a task to the open period. `valuation` is the requester's
   /// hidden v_r when the caller knows it (replay / simulation); online
   /// deployments leave it unset and report the decision via
-  /// ObserveAcceptance(). Fails if the open period was sealed in bulk.
-  /// Task ids must be unique within a period: a duplicate id is rejected
-  /// with AlreadyExists and counted (ids may repeat across periods).
+  /// ObserveAcceptance(). Task ids must be unique within a period: a
+  /// duplicate id is rejected with AlreadyExists and counted (ids may
+  /// repeat across periods).
   Status SubmitTask(const Task& task, double valuation = kNoValuation);
-
-  /// Seals the NEXT period's task set in bulk (tasks are copied).
-  /// `valuations` is either null or an array of end - begin hidden
-  /// valuations aligned with [begin, end). With a pool and
-  /// pipeline_periods, the task-side snapshot of that period starts
-  /// building concurrently with the current ClosePeriod().
-  Status StageNextPeriodTasks(const Task* begin, const Task* end,
-                              const double* valuations);
 
   /// Admits a worker into the open period. `worker.period` is ignored
   /// (admission time is now); `worker.duration` periods of membership start
@@ -290,22 +267,22 @@ class MarketEngine {
   /// and counted in rejections().orphan_acceptances.
   Status ObserveAcceptance(TaskId task, bool accepted);
 
-  /// Closes the open period: builds the snapshot, prices it (PriceRound),
-  /// resolves acceptance, reports the bits (ObserveFeedback), assigns
-  /// workers by max-weight matching, applies the worker lifecycle, and
-  /// advances to the next period. `out`'s storage is reused across calls.
+  /// Closes the open period: builds the snapshot and its graph, prices it
+  /// (PriceRound), resolves acceptance, reports the bits (ObserveFeedback),
+  /// assigns workers by max-weight matching on the same graph, applies the
+  /// worker lifecycle, and advances to the next period. `out`'s storage is
+  /// reused across calls.
   Status ClosePeriod(PeriodOutcome* out);
 
   /// Serializes the full resumable engine state — period counter, worker
-  /// lifecycle table (idle order, busy heap, retire state), staged task
-  /// sets and seal flags, pending acceptance bits, repositioning RNG
+  /// lifecycle table (idle order, busy heap, retire state), the open
+  /// period's submitted tasks, pending acceptance bits, repositioning RNG
   /// position, rejection counters, a configuration fingerprint, and the
   /// strategy's learned state (PricingStrategy::SaveState) — into the
   /// versioned binary checkpoint format (DESIGN.md §12,
-  /// docs/checkpoint_format.md). Waits for in-flight snapshot prebuilds
-  /// first. Call between events; period boundaries (right after a
-  /// ClosePeriod) are the natural place and what the recovery harness
-  /// exercises.
+  /// docs/checkpoint_format.md). Call between events; period boundaries
+  /// (right after a ClosePeriod) are the natural place and what the
+  /// recovery harness exercises.
   Status SaveCheckpoint(std::string* out);
 
   /// Rebuilds engine state from SaveCheckpoint bytes. The engine must be
@@ -376,8 +353,8 @@ class MarketEngine {
   /// Cumulative wall time inside the strategy (PriceRound + acceptance +
   /// ObserveFeedback), the per-strategy cost the benches report.
   double strategy_seconds() const { return strategy_seconds_; }
-  /// Peak platform-side footprint: matching graph, BOTH snapshot slots of
-  /// the double buffer, and the worker-lifecycle table.
+  /// Peak platform-side footprint: the snapshot (including its graph) and
+  /// the worker-lifecycle table.
   size_t peak_platform_bytes() const { return peak_platform_bytes_; }
   /// Peak strategy footprint observed across closed periods.
   size_t peak_strategy_bytes() const { return peak_strategy_bytes_; }
@@ -392,38 +369,28 @@ class MarketEngine {
     bool consumed = false;   // single-use worker already served a task
   };
 
-  /// Tasks buffered for one snapshot slot's period.
+  /// Tasks submitted to the open period.
   struct Stage {
     std::vector<Task> tasks;
     std::vector<double> valuations;  // aligned; kNoValuation when unknown
-    bool sealed = false;             // bulk-staged, SubmitTask rejected
-    /// Ids already staged for this period (duplicate-submission guard);
+    /// Ids already submitted for this period (duplicate-submission guard);
     /// derived from `tasks`, rebuilt — not serialized — on restore.
     std::unordered_set<TaskId> ids;
     void Clear() {
       tasks.clear();
       valuations.clear();
-      sealed = false;
       ids.clear();
     }
   };
 
-  Status CheckTaskGrids(const Task* begin, const Task* end) const;
-  void DrainPrebuilds();
-
   const GridPartition* grid_;
   PricingStrategy* strategy_;
   EngineOptions options_;
-  bool pipelined_ = false;
   int32_t period_ = 0;
 
-  // Double-buffered snapshot pair: period t lives in slot t & 1.
-  MarketSnapshot slots_[2];
-  Stage stages_[2];
-  std::unique_ptr<internal::Latch> prebuild_latch_[2];
-  // Per-slot footprint as of each slot's last finalize, so the accounting
-  // never reads a slot a prebuild job may be writing.
-  size_t slot_bytes_[2] = {0, 0};
+  // The open period's tasks, and the snapshot each close rebuilds in place.
+  Stage stage_;
+  MarketSnapshot snapshot_;
 
   // Worker lifecycle (the simulator's former per-period state machine).
   std::vector<WorkerRecord> workers_;
@@ -448,8 +415,6 @@ class MarketEngine {
   std::vector<double> weights_;
   std::vector<Worker> period_workers_;
   std::vector<int> pool_of_;  // snapshot worker index -> workers_ index
-  GraphBuildWorkspace graph_ws_;
-  BipartiteGraph graph_;
   MaxWeightMatchingWorkspace match_ws_;
   std::vector<PricedTask> mc_priced_;
   std::vector<PossibleWorldsWorkspace> mc_workspaces_;

@@ -59,7 +59,6 @@ ShardedMarketEngine::ShardedMarketEngine(
     // its serial self and the whole close trivially race-free.
     EngineOptions region_options = options_;
     region_options.pool = nullptr;
-    region_options.pipeline_periods = false;
     // Regions inherit the registry (order-independent counter sums) but
     // never the trace: concurrent region closes would interleave seq ids.
     region_options.trace = nullptr;

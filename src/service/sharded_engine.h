@@ -50,8 +50,8 @@
 namespace maps {
 
 /// \brief K-region sharded serving engine; same event surface as
-/// MarketEngine (bulk staging and pipelining excepted — regions prebuild
-/// nothing). Not thread-safe: one logical event stream, like the monolith.
+/// MarketEngine. Not thread-safe: one logical event stream, like the
+/// monolith.
 class ShardedMarketEngine {
  public:
   /// \param grid the full city partition (regions price over the full
@@ -63,7 +63,7 @@ class ShardedMarketEngine {
   ///        learned state identical — see DESIGN.md §13). Non-owning.
   /// \param options lifecycle/MC knobs as for MarketEngine. `options.pool`
   ///        parallelizes ACROSS regions (each region engine runs serially
-  ///        inside); `pipeline_periods` is ignored.
+  ///        inside).
   ShardedMarketEngine(const GridPartition* grid,
                       const RegionPartition* partition,
                       std::vector<PricingStrategy*> strategies,

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <chrono>
-#include <utility>
 
 #include "service/replay_driver.h"
 #include "util/logging.h"
@@ -45,33 +44,17 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
     result.warmup_time_sec = Seconds(warm_start, Clock::now());
   }
 
-  // Per-period task ranges over the validated, period-sorted task array.
-  std::vector<std::pair<size_t, size_t>> task_range(workload.num_periods);
-  {
-    size_t i = 0;
-    for (int32_t t = 0; t < workload.num_periods; ++t) {
-      const size_t begin = i;
-      while (i < workload.tasks.size() && workload.tasks[i].period == t) ++i;
-      task_range[t] = {begin, i};
-    }
-  }
-  const Task* task_base = workload.tasks.data();
-  const double* val_base = workload.valuations.data();
-
-  // Replay: stage period 0, then per period stage t+1 (prebuilt on the
-  // pool when pipelining), admit the period's workers, and close.
-  if (workload.num_periods > 0) {
-    for (size_t i = task_range[0].first; i < task_range[0].second; ++i) {
-      MAPS_RETURN_NOT_OK(engine.SubmitTask(task_base[i], val_base[i]));
-    }
-  }
+  // Replay: per period, submit its tasks (the validated task array is
+  // period-sorted), admit its workers, and close.
+  size_t next_task = 0;
   size_t next_entry = 0;
   PeriodOutcome outcome;
   for (int32_t t = 0; t < workload.num_periods; ++t) {
-    if (t + 1 < workload.num_periods) {
-      const auto [begin, end] = task_range[t + 1];
-      MAPS_RETURN_NOT_OK(engine.StageNextPeriodTasks(
-          task_base + begin, task_base + end, val_base + begin));
+    while (next_task < workload.tasks.size() &&
+           workload.tasks[next_task].period == t) {
+      MAPS_RETURN_NOT_OK(engine.SubmitTask(workload.tasks[next_task],
+                                           workload.valuations[next_task]));
+      ++next_task;
     }
     while (next_entry < workload.workers.size() &&
            workload.workers[next_entry].period == t) {

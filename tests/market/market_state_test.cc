@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace maps {
 namespace {
 
@@ -63,8 +65,8 @@ TEST_F(MarketSnapshotTest, DistancePrefixSumsDescending) {
 }
 
 TEST_F(MarketSnapshotTest, StagedConstructionMatchesOneShot) {
-  // The simulator's pipeline builds snapshots in two stages and reuses one
-  // slot across many periods; every derived index must match a fresh
+  // The engine builds its snapshot in two stages and reuses it across
+  // every period; every derived index and the graph must match a fresh
   // one-shot snapshot of the same market exactly.
   std::vector<Task> tasks = {MakeTask(0, {1, 1}, 2.0),
                              MakeTask(1, {2, 2}, 1.0),
@@ -95,6 +97,15 @@ TEST_F(MarketSnapshotTest, StagedConstructionMatchesOneShot) {
     EXPECT_DOUBLE_EQ(staged.TotalDistanceInGrid(g),
                      fresh.TotalDistanceInGrid(g))
         << "grid " << g;
+  }
+  ASSERT_EQ(staged.graph().num_left(), fresh.graph().num_left());
+  EXPECT_EQ(staged.graph().num_right(), fresh.graph().num_right());
+  EXPECT_EQ(staged.graph().num_edges(), fresh.graph().num_edges());
+  for (int l = 0; l < fresh.graph().num_left(); ++l) {
+    const auto a = staged.graph().Neighbors(l);
+    const auto b = fresh.graph().Neighbors(l);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "task " << l;
   }
 }
 

@@ -53,8 +53,7 @@ class PaperExampleTest : public ::testing::Test {
 
 TEST_F(PaperExampleTest, GraphStructureMatchesFigure1b) {
   MarketSnapshot snap = MakeExampleSnapshot();
-  const BipartiteGraph g =
-      BipartiteGraph::Build(snap.tasks(), snap.workers(), grid_);
+  const BipartiteGraph& g = snap.graph();
   // "at most two tasks can be served and at most one of r1 and r2".
   EXPECT_EQ(g.Degree(0), 1);
   EXPECT_EQ(g.Degree(1), 1);

@@ -70,7 +70,7 @@ TEST(MapsTest, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(MapsTest, RepeatedRoundsOnSameSnapshotAreIdentical) {
-  // Workspace-reuse guard: PriceRound pools its graph/matching/heap buffers
+  // Workspace-reuse guard: PriceRound pools its matching/heap buffers
   // across rounds; no state may leak from one round into the next. Pricing
   // the same snapshot repeatedly (no feedback in between) must reproduce
   // bit-identical prices, supply levels, and delta traces.

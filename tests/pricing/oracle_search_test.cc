@@ -55,8 +55,9 @@ TEST(OracleSearchTest, BeatsEveryManualAssignment) {
 }
 
 TEST(OracleSearchTest, BuildsTheGraphExactlyOnce) {
-  // The graph depends only on geometry, never on prices; the odometer loop
-  // over price combinations must reuse one build instead of one per combo.
+  // The graph depends only on geometry, never on prices; the snapshot
+  // builds it once and the odometer loop over price combinations reuses
+  // it instead of building one per combo.
   auto grid = GridPartition::Make(Rect{0, 0, 20, 10}, 1, 2).ValueOrDie();
   DemandOracle oracle = TableOneOracle(2);
   std::vector<Task> tasks = {MakeTask(grid, 0, {2, 5}, 1.5),
@@ -64,10 +65,10 @@ TEST(OracleSearchTest, BuildsTheGraphExactlyOnce) {
                              MakeTask(grid, 2, {4, 5}, 2.0)};
   std::vector<Worker> workers = {MakeWorker(grid, 0, {5, 5}, 20.0),
                                  MakeWorker(grid, 1, {15, 5}, 6.0)};
-  MarketSnapshot snap(&grid, 0, std::move(tasks), std::move(workers));
   auto ladder = PriceLadder::FromPrices({1.0, 2.0, 3.0}).ValueOrDie();
 
   const int64_t before = BipartiteGraph::TotalBuildCount();
+  MarketSnapshot snap(&grid, 0, std::move(tasks), std::move(workers));
   ASSERT_TRUE(OracleSearch(snap, oracle, ladder).ok());
   const int64_t builds = BipartiteGraph::TotalBuildCount() - before;
   // 2 busy grids x 3 rungs = 9 price combinations, but exactly one build.
@@ -132,7 +133,7 @@ TEST(OracleSearchTest, PoolSurvivesReuseAcrossInvocations) {
 
 TEST(OracleSearchTest, PoolBackedSearchBuildsTheGraphExactlyOnce) {
   // Sharding the odometer must not reintroduce per-combination (or even
-  // per-shard) graph builds.
+  // per-shard) graph builds: the snapshot's one build is the only one.
   auto grid = GridPartition::Make(Rect{0, 0, 20, 10}, 1, 2).ValueOrDie();
   DemandOracle oracle = TableOneOracle(2);
   std::vector<Task> tasks = {MakeTask(grid, 0, {2, 5}, 1.5),
@@ -140,11 +141,11 @@ TEST(OracleSearchTest, PoolBackedSearchBuildsTheGraphExactlyOnce) {
                              MakeTask(grid, 2, {4, 5}, 2.0)};
   std::vector<Worker> workers = {MakeWorker(grid, 0, {5, 5}, 20.0),
                                  MakeWorker(grid, 1, {15, 5}, 6.0)};
-  MarketSnapshot snap(&grid, 0, std::move(tasks), std::move(workers));
   auto ladder = PriceLadder::FromPrices({1.0, 2.0, 3.0}).ValueOrDie();
 
   ThreadPool pool(4);
   const int64_t before = BipartiteGraph::TotalBuildCount();
+  MarketSnapshot snap(&grid, 0, std::move(tasks), std::move(workers));
   ASSERT_TRUE(OracleSearch(snap, oracle, ladder, &pool).ok());
   EXPECT_EQ(BipartiteGraph::TotalBuildCount() - before, 1);
 }

@@ -347,12 +347,19 @@ TEST(EngineCheckpointTest, RejectsStructuralDamageWithOffsets) {
   bad[0] = 'X';
   EXPECT_FALSE(target.engine->RestoreFromCheckpoint(bad).ok());
 
-  // Unsupported format version.
+  // Unsupported format version, including the previous one (version 2
+  // carried a second, sealed stage).
   bad = blob;
   bad[8] = 99;
   Status st = target.engine->RestoreFromCheckpoint(bad);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("version"), std::string::npos);
+  bad[8] = 2;
+  st = target.engine->RestoreFromCheckpoint(bad);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("unsupported MAPS checkpoint format version 2"),
+            std::string::npos)
+      << st.message();
 
   // Truncations at the header, mid-section-table, and mid-payload.
   for (const size_t keep : {size_t{0}, size_t{7}, size_t{15}, size_t{40},
@@ -555,7 +562,7 @@ TEST(CheckpointRotationTest, KeepsTheNewestNByNumber) {
   for (const int period : {2, 9, 10, 11, 3}) {
     ASSERT_TRUE(WriteCheckpointFile(
                     dir + "/checkpoint_" + std::to_string(period) + ".ckpt",
-                    "p" + std::to_string(period))
+                    std::string("p").append(std::to_string(period)))
                     .ok());
   }
   // A non-matching bystander survives any pruning.

@@ -8,6 +8,8 @@
 
 #include "../invariants.h"
 #include "../test_util.h"
+#include "graph/bipartite_graph.h"
+#include "pricing/base_pricing.h"
 #include "pricing/maps.h"
 #include "sim/beijing.h"
 #include "sim/simulator.h"
@@ -72,11 +74,10 @@ struct Trace {
   }
 };
 
-Trace SimulatorTrace(const Workload& w, ThreadPool* pool, bool pipeline) {
+Trace SimulatorTrace(const Workload& w, ThreadPool* pool) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   SimOptions options;
   options.collect_per_period = true;
-  options.engine.pipeline_periods = pipeline;
   options.engine.pool = pool;
   auto r = RunSimulation(w, &strategy, options).ValueOrDie();
   Trace trace;
@@ -94,14 +95,13 @@ Trace SimulatorTrace(const Workload& w, ThreadPool* pool, bool pipeline) {
 
 /// Feeds the workload through the raw event API — the same events the
 /// replay adapter produces, but hand-rolled so the test is independent of
-/// the adapter's implementation. `stage_next` exercises the bulk-staging /
-/// pipelined path; otherwise every task goes through SubmitTask.
-Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
+/// the adapter's implementation. Each period's tasks are submitted right
+/// after the previous close.
+Trace EngineTrace(const Workload& w, ThreadPool* pool) {
   RecordingStrategy strategy(std::make_unique<Maps>(MapsOptions{}));
   EngineOptions options;
   options.lifecycle = w.lifecycle;
   options.pool = pool;
-  options.pipeline_periods = true;
   MarketEngine engine(&w.grid, &strategy, options);
   // Same warm-up stream the simulator defaults to (SimOptions default 7).
   DemandOracle history = w.oracle.Fork(7);
@@ -129,14 +129,6 @@ Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
   testing_util::InvariantTracker invariants("EngineTrace");
   submit_period(0);
   for (int32_t t = 0; t < w.num_periods; ++t) {
-    if (stage_next && t + 1 < w.num_periods) {
-      const auto [begin, end] = range[t + 1];
-      EXPECT_TRUE(engine
-                      .StageNextPeriodTasks(w.tasks.data() + begin,
-                                            w.tasks.data() + end,
-                                            w.valuations.data() + begin)
-                      .ok());
-    }
     while (next_entry < w.workers.size() &&
            w.workers[next_entry].period == t) {
       EXPECT_TRUE(engine.AddWorker(w.workers[next_entry]).ok());
@@ -149,7 +141,7 @@ Trace EngineTrace(const Workload& w, ThreadPool* pool, bool stage_next) {
           w.tasks.begin() + static_cast<ptrdiff_t>(range[t].second));
       invariants.Check(outcome, &period_tasks);
     }
-    if (!stage_next && t + 1 < w.num_periods) submit_period(t + 1);
+    if (t + 1 < w.num_periods) submit_period(t + 1);
     if (outcome.skipped) continue;
     trace.periods.push_back(outcome.period);
     trace.revenue.push_back(outcome.revenue);
@@ -190,30 +182,76 @@ Workload BeijingCase() {
 
 /// The tentpole contract: RunSimulation and hand-fed engine events produce
 /// bit-identical prices, per-period outcomes, and revenue on synthetic and
-/// Beijing workloads, across no-pool/1/2/8 threads, pipeline on and off.
+/// Beijing workloads, across no-pool/1/2/8 threads.
 TEST(EnginePoolBackedTest, EventFeedMatchesSimulatorBitIdentical) {
   for (const bool beijing : {false, true}) {
     const Workload w = beijing ? BeijingCase() : SyntheticCase();
     SCOPED_TRACE(beijing ? "beijing" : "synthetic");
-    const Trace baseline = SimulatorTrace(w, nullptr, false);
+    const Trace baseline = SimulatorTrace(w, nullptr);
     ASSERT_GT(baseline.total_revenue, 0.0);
     ASSERT_FALSE(baseline.prices.empty());
 
-    EXPECT_TRUE(EngineTrace(w, nullptr, false) == baseline) << "no pool";
-    EXPECT_TRUE(EngineTrace(w, nullptr, true) == baseline)
-        << "no pool, bulk staging";
+    EXPECT_TRUE(EngineTrace(w, nullptr) == baseline) << "no pool";
     for (int threads : {1, 2, 8}) {
       ThreadPool pool(threads);
-      EXPECT_TRUE(SimulatorTrace(w, &pool, true) == baseline)
-          << threads << " threads, sim pipelined";
-      EXPECT_TRUE(SimulatorTrace(w, &pool, false) == baseline)
-          << threads << " threads, sim pipeline off";
-      EXPECT_TRUE(EngineTrace(w, &pool, true) == baseline)
-          << threads << " threads, engine staged (pipelined)";
-      EXPECT_TRUE(EngineTrace(w, &pool, false) == baseline)
-          << threads << " threads, engine submit-only";
+      EXPECT_TRUE(SimulatorTrace(w, &pool) == baseline)
+          << threads << " threads, simulator";
+      EXPECT_TRUE(EngineTrace(w, &pool) == baseline)
+          << threads << " threads, engine";
     }
   }
+}
+
+/// One graph per close (Algorithm 2, line 1): pricing, the MC diagnostic
+/// and the matching all read the snapshot's graph, so a live close builds
+/// exactly one and a skipped close none — for MAPS, whose PriceRound walks
+/// the graph, and for a baseline that never looks at it.
+TEST(MarketEngineTest, EachLiveCloseBuildsTheGraphOnce) {
+  const Workload w = SyntheticCase();
+  const auto check = [&w](PricingStrategy* strategy) {
+    EngineOptions options;
+    options.lifecycle = w.lifecycle;
+    options.mc_worlds = 4;
+    options.mc_oracle = &w.oracle;
+    MarketEngine engine(&w.grid, strategy, options);
+    DemandOracle history = w.oracle.Fork(7);
+    ASSERT_TRUE(strategy->Warmup(w.grid, &history).ok());
+
+    // Nothing submitted, nobody admitted: a skipped close builds nothing.
+    PeriodOutcome outcome;
+    int64_t before = BipartiteGraph::TotalBuildCount();
+    ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+    ASSERT_TRUE(outcome.skipped);
+    EXPECT_EQ(BipartiteGraph::TotalBuildCount() - before, 0);
+
+    size_t next_task = 0;
+    size_t next_worker = 0;
+    int live_closes = 0;
+    for (int32_t t = 0; t < w.num_periods; ++t) {
+      for (; next_task < w.tasks.size() && w.tasks[next_task].period == t;
+           ++next_task) {
+        ASSERT_TRUE(
+            engine.SubmitTask(w.tasks[next_task], w.valuations[next_task])
+                .ok());
+      }
+      for (; next_worker < w.workers.size() &&
+             w.workers[next_worker].period == t;
+           ++next_worker) {
+        ASSERT_TRUE(engine.AddWorker(w.workers[next_worker]).ok());
+      }
+      before = BipartiteGraph::TotalBuildCount();
+      ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+      EXPECT_EQ(BipartiteGraph::TotalBuildCount() - before,
+                outcome.skipped ? 0 : 1)
+          << strategy->name() << " period " << t;
+      if (!outcome.skipped) ++live_closes;
+    }
+    EXPECT_GT(live_closes, 0);
+  };
+  Maps maps(MapsOptions{});
+  check(&maps);
+  BasePricing base(PricingConfig{});
+  check(&base);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,19 +365,11 @@ TEST(MarketEngineTest, StagingAndSubmissionGuards) {
   FixedPriceStrategy fixed(1.0);
   MarketEngine engine(&grid, &fixed, EngineOptions{});
 
-  const Task next = MakeTask(grid, 7, {5, 5}, 2.0, 1);
-  ASSERT_TRUE(engine.StageNextPeriodTasks(&next, &next + 1, nullptr).ok());
-  // The sealed next period rejects further bulk staging now and SubmitTask
-  // once it becomes the open period.
-  EXPECT_TRUE(engine.StageNextPeriodTasks(&next, &next + 1, nullptr)
-                  .IsFailedPrecondition());
+  ASSERT_TRUE(engine.SubmitTask(MakeTask(grid, 7, {5, 5}, 2.0, 0)).ok());
   ASSERT_TRUE(engine.AddWorker(MakeWorker(grid, 0, {5, 5}, 5.0, 0)).ok());
   PeriodOutcome outcome;
   ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
-  EXPECT_TRUE(engine.SubmitTask(MakeTask(grid, 8, {5, 5}, 1.0, 1))
-                  .IsFailedPrecondition());
-  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
-  EXPECT_EQ(outcome.num_tasks, 1);  // the staged task arrived
+  EXPECT_EQ(outcome.num_tasks, 1);  // the submitted task arrived
 
   // Duplicate worker ids and out-of-partition tasks are rejected.
   EXPECT_EQ(engine.AddWorker(MakeWorker(grid, 0, {5, 5}, 5.0, 0)).code(),
@@ -407,21 +437,6 @@ TEST(MarketEngineTest, RejectionCountersTrackMalformedTraffic) {
   EXPECT_EQ(outcome.rejections.orphan_acceptances, 3);
   EXPECT_EQ(outcome.rejections.duplicate_tasks, 1);
   ASSERT_EQ(outcome.accepted.size(), 1u);
-}
-
-TEST(MarketEngineTest, StagedBatchWithRepeatedIdsIsRejected) {
-  const GridPartition grid = OneCellGrid();
-  FixedPriceStrategy fixed(1.0);
-  MarketEngine engine(&grid, &fixed, EngineOptions{});
-  const Task dup[2] = {MakeTask(grid, 3, {5, 5}, 2.0, 1),
-                       MakeTask(grid, 3, {6, 6}, 3.0, 1)};
-  EXPECT_TRUE(
-      engine.StageNextPeriodTasks(dup, dup + 2, nullptr).IsInvalidArgument());
-  EXPECT_EQ(engine.rejections().duplicate_tasks, 1);
-  // The rejected batch did not seal the next period: a clean batch works.
-  const Task ok_task = MakeTask(grid, 3, {5, 5}, 2.0, 1);
-  EXPECT_TRUE(engine.StageNextPeriodTasks(&ok_task, &ok_task + 1, nullptr)
-                  .ok());
 }
 
 TEST(MarketEngineTest, NullOutcomeAndWrongPriceVectorAreErrors) {

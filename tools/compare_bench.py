@@ -20,10 +20,9 @@ import json
 import sys
 
 # Keys gated by default: the stable hot-path trajectory. Pool-backed keys
-# (*_pooled, *_sharded, *_pipelined — e.g. engine_period_pipelined) default
-# to ungated because their ns_per_op depends on the runner's core count,
-# which differs between CI hosts; pass --keys to gate them on fixed
-# hardware.
+# (*_pooled, e.g. oracle_search_pooled) default to ungated because their
+# ns_per_op depends on the runner's core count, which differs between CI
+# hosts; pass --keys to gate them on fixed hardware.
 DEFAULT_KEYS = [
     "maps_price_round",
     "bipartite_graph_build",
