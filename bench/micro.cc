@@ -20,8 +20,6 @@
 #include <memory>
 
 #include "graph/bipartite_graph.h"
-#include "graph/hopcroft_karp.h"
-#include "graph/kuhn.h"
 #include "graph/max_weight_matching.h"
 #include "graph/possible_worlds.h"
 #include "market/demand_model.h"
@@ -54,26 +52,6 @@ BipartiteGraph MakeRandomGraph(int nl, int nr, double density,
   }
   return BipartiteGraph::FromEdges(nl, nr, std::move(edges));
 }
-
-void BM_KuhnMatching(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const BipartiteGraph g = MakeRandomGraph(n, n, 8.0 / n, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(KuhnMatching(g).size);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_KuhnMatching)->Range(64, 4096)->Complexity();
-
-void BM_HopcroftKarp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const BipartiteGraph g = MakeRandomGraph(n, n, 8.0 / n, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HopcroftKarpMatching(g).size);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_HopcroftKarp)->Range(64, 4096)->Complexity();
 
 void BM_MaxWeightTaskMatching(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

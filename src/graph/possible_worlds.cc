@@ -33,8 +33,9 @@ void PrepareWorkspace(const std::vector<PricedTask>& tasks,
 
 // NOTE: this is the same greedy transversal-matroid discipline as
 // MaxWeightTaskMatching (value-descending order, augmentability as the
-// independence oracle); the possible_worlds test suite cross-validates the
-// two against the Hungarian algorithm so they cannot silently diverge.
+// independence oracle); the graph test suites cross-validate both against
+// the exhaustive world sum and a Hungarian reference so they cannot
+// silently diverge.
 double WorldRevenue(const BipartiteGraph& graph,
                     PossibleWorldsWorkspace* ws) {
   ws->inc.Reset(&graph);
@@ -115,63 +116,6 @@ double ExactExpectedRevenue(const BipartiteGraph& graph,
   return ExactExpectedRevenue(graph, tasks, &ws);
 }
 
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples,
-                                 PossibleWorldsWorkspace* ws) {
-  MAPS_CHECK_GT(samples, 0);
-  MAPS_CHECK_EQ(static_cast<int>(tasks.size()), graph.num_left());
-  PrepareWorkspace(tasks, ws);
-  double total = 0.0;
-  for (int s = 0; s < samples; ++s) {
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      ws->accepted[i] =
-          static_cast<char>(rng.NextBernoulli(tasks[i].accept_prob));
-    }
-    total += WorldRevenue(graph, ws);
-  }
-  return total / samples;
-}
-
-double MonteCarloExpectedRevenue(const BipartiteGraph& graph,
-                                 const std::vector<PricedTask>& tasks,
-                                 Rng& rng, int samples) {
-  PossibleWorldsWorkspace ws;
-  return MonteCarloExpectedRevenue(graph, tasks, rng, samples, &ws);
-}
-
-double MonteCarloExpectedRevenue(
-    const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
-    uint64_t seed, int samples, ThreadPool* pool,
-    std::vector<PossibleWorldsWorkspace>* workspaces) {
-  MAPS_CHECK_GT(samples, 0);
-  const int n = static_cast<int>(tasks.size());
-  MAPS_CHECK_EQ(n, graph.num_left());
-  const int num_workers = pool == nullptr ? 1 : pool->num_threads();
-  workspaces->resize(num_workers);
-  for (auto& ws : *workspaces) PrepareWorkspace(tasks, &ws);
-  const auto shards = SplitRange(samples, kMonteCarloShards);
-  const double total = ParallelReduce<double>(
-      pool, shards, 0.0,
-      [&](int /*shard*/, const IndexRange& range, int worker) {
-        PossibleWorldsWorkspace* ws = &(*workspaces)[worker];
-        double sum = 0.0;
-        for (int64_t s = range.begin; s < range.end; ++s) {
-          // World s's randomness is stream s of the (seed, ·) family; the
-          // stream never depends on the shard layout, only on s itself.
-          CounterRng rng(seed, static_cast<uint64_t>(s));
-          for (int i = 0; i < n; ++i) {
-            ws->accepted[i] =
-                static_cast<char>(rng.NextBernoulli(tasks[i].accept_prob));
-          }
-          sum += WorldRevenue(graph, ws);
-        }
-        return sum;
-      },
-      [](double acc, double partial) { return acc + partial; });
-  return total / samples;
-}
-
 WorldMomentSums MonteCarloRevenueMoments(
     const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
     uint64_t seed, int64_t first_world, int64_t num_worlds, ThreadPool* pool,
@@ -209,6 +153,16 @@ WorldMomentSums MonteCarloRevenueMoments(
         acc.sum_squares += partial.sum_squares;
         return acc;
       });
+}
+
+double MonteCarloExpectedRevenue(
+    const BipartiteGraph& graph, const std::vector<PricedTask>& tasks,
+    uint64_t seed, int samples, ThreadPool* pool,
+    std::vector<PossibleWorldsWorkspace>* workspaces) {
+  return MonteCarloRevenueMoments(graph, tasks, seed, /*first_world=*/0,
+                                  samples, pool, workspaces)
+             .sum /
+         samples;
 }
 
 }  // namespace maps

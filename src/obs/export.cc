@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 namespace maps {
 namespace obs {
@@ -151,29 +150,6 @@ std::string RenderMetricsJson(const MetricsRegistry& registry,
                         /*percentiles=*/true, &out);
   out += "}\n}\n";
   return out;
-}
-
-std::string RenderMetricsText(const MetricsRegistry& registry) {
-  std::ostringstream out;
-  for (const auto& c : registry.counters()) {
-    out << c.name << " " << c.metric->value() << "\n";
-  }
-  for (const auto& g : registry.gauges()) {
-    out << g.name << " value=" << g.metric->value()
-        << " max=" << g.metric->max() << "\n";
-  }
-  for (const auto& h : registry.histograms()) {
-    const int64_t n = h.metric->count();
-    out << h.name << " count=" << n;
-    if (n > 0) {
-      out << " mean=" << h.metric->sum() / n
-          << " p50=" << h.metric->Percentile(0.50)
-          << " p90=" << h.metric->Percentile(0.90)
-          << " p99=" << h.metric->Percentile(0.99);
-    }
-    out << "\n";
-  }
-  return out.str();
 }
 
 void WriteTraceJsonl(const TraceLog& trace, std::ostream& out) {

@@ -40,10 +40,6 @@ std::string RenderDeterministicSlice(const MetricsRegistry& registry,
 std::string RenderMetricsJson(const MetricsRegistry& registry,
                               const TraceLog* trace);
 
-/// \brief Human-readable dump (one metric per line; histograms with count,
-/// mean, and export-time percentiles).
-std::string RenderMetricsText(const MetricsRegistry& registry);
-
 /// \brief One JSON object per retained trace event, oldest first.
 void WriteTraceJsonl(const TraceLog& trace, std::ostream& out);
 

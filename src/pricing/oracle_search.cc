@@ -104,12 +104,6 @@ double ExpectedRevenueOfPrices(const MarketSnapshot& snapshot,
 
 Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
                                         const DemandOracle& truth,
-                                        const PriceLadder& ladder) {
-  return OracleSearch(snapshot, truth, ladder, /*pool=*/nullptr);
-}
-
-Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
-                                        const DemandOracle& truth,
                                         const PriceLadder& ladder,
                                         ThreadPool* pool) {
   if (snapshot.tasks().size() > 25) {

@@ -26,24 +26,19 @@ struct OracleSearchResult {
 
 /// \brief Exhaustive search over ladder price assignments.
 /// \pre at most 25 tasks; at most ~1e6 price combinations.
-Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
-                                        const DemandOracle& truth,
-                                        const PriceLadder& ladder);
-
-/// \brief Pool-backed exhaustive search. The price-combination odometer is
-/// sharded into a FIXED number of contiguous linear-index ranges (a
-/// function of the combination count only), each worker sweeps its ranges
-/// with a private PossibleWorldsWorkspace + priced scratch, and the global
-/// argmax is reduced in shard order with ties broken by the LOWEST
-/// combination index. Every combination's value is computed exactly as in
-/// the serial sweep, so the result — prices and revenue — is bit-identical
-/// to the serial overload and to itself under any thread count. Every
-/// combination scores against the snapshot's one graph. `pool == nullptr`
-/// runs the same sharded sweep inline.
+///
+/// The price-combination odometer is sharded into a FIXED number of
+/// contiguous linear-index ranges (a function of the combination count
+/// only), each worker sweeps its ranges with a private
+/// PossibleWorldsWorkspace + priced scratch, and the global argmax is
+/// reduced in shard order with ties broken by the LOWEST combination index.
+/// The result — prices and revenue — is therefore bit-identical under any
+/// thread count; `pool == nullptr` runs the same sharded sweep inline.
+/// Every combination scores against the snapshot's one graph.
 Result<OracleSearchResult> OracleSearch(const MarketSnapshot& snapshot,
                                         const DemandOracle& truth,
                                         const PriceLadder& ladder,
-                                        ThreadPool* pool);
+                                        ThreadPool* pool = nullptr);
 
 /// \brief Exact expected revenue of a specific price assignment under the
 /// true acceptance ratios (helper shared with tests).

@@ -20,10 +20,15 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "geo/grid.h"
+#include "market/task.h"
+#include "market/worker.h"
 #include "util/serial.h"
 #include "util/status.h"
 
@@ -71,6 +76,41 @@ Status ParseCheckpointContainer(const std::string& data, const char* magic,
                                 uint32_t version, uint32_t num_sections,
                                 const char* what,
                                 std::vector<std::string>* payloads);
+
+// Records both containers encode the same way. Each has one writer and one
+// reader (or checker); MarketEngine and ShardedMarketEngine both call them,
+// so the MAPSCKPT and MAPSSHRD encodings of a record cannot drift apart.
+
+/// Grid fingerprint: i32 rows, i32 cols, then the region rectangle as four
+/// doubles (min_x, min_y, max_x, max_y).
+void PutGridFingerprint(const GridPartition& grid, StateWriter* w);
+/// Reads a grid fingerprint; FailedPrecondition unless it equals `grid`'s.
+Status CheckGridFingerprint(const GridPartition& grid, StateReader* r);
+
+/// Worker-lifecycle fingerprint: bool single_use, double speed, double
+/// reposition_prob, u64 reposition_seed.
+void PutLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                             StateWriter* w);
+/// Reads a lifecycle fingerprint; FailedPrecondition unless it equals
+/// `lifecycle`.
+Status CheckLifecycleFingerprint(const WorkerLifecycle& lifecycle,
+                                 StateReader* r);
+
+/// Encoded size of one task record: i64 id, i32 period, four doubles for
+/// origin and destination, double distance, i32 grid.
+inline constexpr size_t kTaskRecordBytes = 56;
+void PutTaskRecord(const Task& task, StateWriter* w);
+/// Reads one task record; InvalidArgument when its grid lies outside
+/// `grid`. `what` names the task's role in that message ("staged task").
+Status GetTaskRecord(const GridPartition& grid, const char* what,
+                     StateReader* r, Task* task);
+
+/// Pending acceptance bits: u64 count, then (i64 task id, bool accepted)
+/// pairs in ascending id order.
+void PutPendingBits(const std::unordered_map<TaskId, bool>& bits,
+                    StateWriter* w);
+/// Reads pending bits; InvalidArgument when a task id repeats.
+Status GetPendingBits(StateReader* r, std::unordered_map<TaskId, bool>* bits);
 
 }  // namespace internal
 

@@ -52,6 +52,22 @@ void RejectionCounterHandles::Resolve(obs::MetricsRegistry* registry) {
   deferred_tasks = registry->GetCounter("engine.reject.deferred_tasks", det);
 }
 
+void RejectionCounterHandles::AbsorbJump(
+    const EngineRejectionCounters& before,
+    const EngineRejectionCounters& after) const {
+  const auto absorb = [](int64_t from, int64_t to, obs::Counter* mirror) {
+    if (mirror != nullptr && to != from) mirror->Add(to - from);
+  };
+  absorb(before.duplicate_tasks, after.duplicate_tasks, duplicate_tasks);
+  absorb(before.unknown_worker_removals, after.unknown_worker_removals,
+         unknown_worker_removals);
+  absorb(before.busy_worker_removals, after.busy_worker_removals,
+         busy_worker_removals);
+  absorb(before.orphan_acceptances, after.orphan_acceptances,
+         orphan_acceptances);
+  absorb(before.deferred_tasks, after.deferred_tasks, deferred_tasks);
+}
+
 MarketEngine::MarketEngine(const GridPartition* grid,
                            PricingStrategy* strategy,
                            const EngineOptions& options)

@@ -161,6 +161,13 @@ struct RejectionCounterHandles {
   /// the monolithic and sharded engines resolve the SAME names, so the
   /// registry totals match ShardedMarketEngine::rejections()'s merge.
   void Resolve(obs::MetricsRegistry* registry);
+
+  /// Adds `after - before` to each mirror: a checkpoint restore replaces
+  /// the struct counters wholesale, and the registry must keep equal to the
+  /// (possibly multi-engine) sum of the struct counters after that rewind
+  /// (DESIGN.md §16). No-op for null handles.
+  void AbsorbJump(const EngineRejectionCounters& before,
+                  const EngineRejectionCounters& after) const;
 };
 
 /// \brief Per-region serving health reported in a sharded PeriodOutcome

@@ -916,21 +916,12 @@ Status ShardedMarketEngine::SaveCheckpoint(std::string* out) {
   }
 
   StateWriter part;
-  part.PutI32(grid_->rows());
-  part.PutI32(grid_->cols());
-  const Rect& region_rect = grid_->region();
-  part.PutDouble(region_rect.min_x);
-  part.PutDouble(region_rect.min_y);
-  part.PutDouble(region_rect.max_x);
-  part.PutDouble(region_rect.max_y);
+  internal::PutGridFingerprint(*grid_, &part);
   part.PutI32(num_regions);
   for (int k = 0; k < num_regions; ++k) {
     part.PutI32(partition_->row_begin(k));
   }
-  part.PutBool(options_.lifecycle.single_use);
-  part.PutDouble(options_.lifecycle.speed);
-  part.PutDouble(options_.lifecycle.reposition_prob);
-  part.PutU64(options_.lifecycle.reposition_seed);
+  internal::PutLifecycleFingerprint(options_.lifecycle, &part);
 
   StateWriter routing;
   routing.PutI32(period_);
@@ -962,27 +953,11 @@ Status ShardedMarketEngine::SaveCheckpoint(std::string* out) {
     for (const TaskRoute* route : routes) {
       routing.PutI64(route->seq);
       routing.PutI32(route->region);
-      routing.PutI64(route->task.id);
-      routing.PutI32(route->task.period);
-      routing.PutDouble(route->task.origin.x);
-      routing.PutDouble(route->task.origin.y);
-      routing.PutDouble(route->task.destination.x);
-      routing.PutDouble(route->task.destination.y);
-      routing.PutDouble(route->task.distance);
-      routing.PutI32(route->task.grid);
+      internal::PutTaskRecord(route->task, &routing);
       routing.PutDouble(route->valuation);  // v2
     }
   }
-  {
-    std::vector<std::pair<TaskId, bool>> bits(pending_accept_.begin(),
-                                              pending_accept_.end());
-    std::sort(bits.begin(), bits.end());
-    routing.PutU64(bits.size());
-    for (const auto& [task, accepted] : bits) {
-      routing.PutI64(task);
-      routing.PutBool(accepted);
-    }
-  }
+  internal::PutPendingBits(pending_accept_, &routing);
   for (const std::vector<double>& prices : region_prices_) {
     routing.PutU64(prices.size());
     for (double p : prices) routing.PutDouble(p);
@@ -1023,24 +998,7 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
 
   {  // Partition fingerprint: grid, band layout, K, lifecycle.
     StateReader r(sections[kShardedSectionPartition - 1]);
-    int32_t rows, cols;
-    double min_x, min_y, max_x, max_y;
-    MAPS_RETURN_NOT_OK(r.GetI32(&rows, "grid rows"));
-    MAPS_RETURN_NOT_OK(r.GetI32(&cols, "grid cols"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_x, "region min_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&min_y, "region min_y"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_x, "region max_x"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&max_y, "region max_y"));
-    const Rect& rect = grid_->region();
-    if (rows != grid_->rows() || cols != grid_->cols() ||
-        min_x != rect.min_x || min_y != rect.min_y || max_x != rect.max_x ||
-        max_y != rect.max_y) {
-      return Status::FailedPrecondition(
-          "checkpoint grid fingerprint (" + std::to_string(rows) + "x" +
-          std::to_string(cols) + ") does not match this engine's partition (" +
-          std::to_string(grid_->rows()) + "x" + std::to_string(grid_->cols()) +
-          ")");
-    }
+    MAPS_RETURN_NOT_OK(internal::CheckGridFingerprint(*grid_, &r));
     int32_t k_saved;
     MAPS_RETURN_NOT_OK(r.GetI32(&k_saved, "region count"));
     if (k_saved != num_regions) {
@@ -1059,23 +1017,8 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
             std::to_string(partition_->row_begin(k)));
       }
     }
-    bool single_use;
-    double speed, reposition_prob;
-    uint64_t reposition_seed;
-    MAPS_RETURN_NOT_OK(r.GetBool(&single_use, "lifecycle single_use"));
-    MAPS_RETURN_NOT_OK(r.GetDouble(&speed, "lifecycle speed"));
     MAPS_RETURN_NOT_OK(
-        r.GetDouble(&reposition_prob, "lifecycle reposition_prob"));
-    MAPS_RETURN_NOT_OK(
-        r.GetU64(&reposition_seed, "lifecycle reposition_seed"));
-    const WorkerLifecycle& lc = options_.lifecycle;
-    if (single_use != lc.single_use || speed != lc.speed ||
-        reposition_prob != lc.reposition_prob ||
-        reposition_seed != lc.reposition_seed) {
-      return Status::FailedPrecondition(
-          "checkpoint worker-lifecycle fingerprint does not match this "
-          "engine's options");
-    }
+        internal::CheckLifecycleFingerprint(options_.lifecycle, &r));
     MAPS_RETURN_NOT_OK(r.ExpectEnd("sharded partition section"));
   }
 
@@ -1125,32 +1068,21 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
       }
     }
     MAPS_RETURN_NOT_OK(r.GetU64(&n, "task route count"));
-    MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 76, "task routes"));
+    // A route is seq + region + task record + valuation.
+    MAPS_RETURN_NOT_OK(CheckDecodedCount(
+        r, n, 8 + 4 + internal::kTaskRecordBytes + 8, "task routes"));
     task_route.reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
       TaskRoute route;
       MAPS_RETURN_NOT_OK(r.GetI64(&route.seq, "route seq"));
       MAPS_RETURN_NOT_OK(r.GetI32(&route.region, "route region"));
-      MAPS_RETURN_NOT_OK(r.GetI64(&route.task.id, "route task id"));
-      MAPS_RETURN_NOT_OK(r.GetI32(&route.task.period, "route task period"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.origin.x, "route origin x"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.origin.y, "route origin y"));
       MAPS_RETURN_NOT_OK(
-          r.GetDouble(&route.task.destination.x, "route destination x"));
-      MAPS_RETURN_NOT_OK(
-          r.GetDouble(&route.task.destination.y, "route destination y"));
-      MAPS_RETURN_NOT_OK(r.GetDouble(&route.task.distance, "route distance"));
-      MAPS_RETURN_NOT_OK(r.GetI32(&route.task.grid, "route task grid"));
+          internal::GetTaskRecord(*grid_, "routed task", &r, &route.task));
       MAPS_RETURN_NOT_OK(r.GetDouble(&route.valuation, "route valuation"));
       if (route.region < 0 || route.region >= num_regions) {
         return Status::InvalidArgument(
             "task " + std::to_string(route.task.id) +
             " routed to out-of-range region " + std::to_string(route.region));
-      }
-      if (route.task.grid < 0 || route.task.grid >= grid_->num_cells()) {
-        return Status::InvalidArgument(
-            "routed task " + std::to_string(route.task.id) + " has grid " +
-            std::to_string(route.task.grid) + " outside the partition");
       }
       if (route.seq < 0 || route.seq >= next_seq) {
         return Status::InvalidArgument(
@@ -1164,20 +1096,7 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
                                        " appears twice in the route table");
       }
     }
-    MAPS_RETURN_NOT_OK(r.GetU64(&n, "pending bit count"));
-    MAPS_RETURN_NOT_OK(CheckDecodedCount(r, n, 9, "pending bits"));
-    pending.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      TaskId task;
-      bool accepted;
-      MAPS_RETURN_NOT_OK(r.GetI64(&task, "pending task id"));
-      MAPS_RETURN_NOT_OK(r.GetBool(&accepted, "pending accepted bit"));
-      if (!pending.emplace(task, accepted).second) {
-        return Status::InvalidArgument("pending bit for task " +
-                                       std::to_string(task) +
-                                       " appears twice");
-      }
-    }
+    MAPS_RETURN_NOT_OK(internal::GetPendingBits(&r, &pending));
     region_prices.resize(num_regions);
     for (int k = 0; k < num_regions; ++k) {
       MAPS_RETURN_NOT_OK(r.GetU64(&n, "cached price count"));
@@ -1241,23 +1160,8 @@ Status ShardedMarketEngine::RestoreFromCheckpoint(const std::string& data) {
     }
   }
 
-  // Commit this layer. Nothing below can fail. As in the monolith's
-  // restore, the mirrored registry counters absorb the jump so the registry
-  // stays equal to the summed struct counters (DESIGN.md §16).
-  const auto sync_mirror = [](int64_t before, int64_t after,
-                              obs::Counter* mirror) {
-    if (mirror != nullptr && after != before) mirror->Add(after - before);
-  };
-  sync_mirror(local_rejections_.duplicate_tasks, rej.duplicate_tasks,
-              m_reject_.duplicate_tasks);
-  sync_mirror(local_rejections_.unknown_worker_removals,
-              rej.unknown_worker_removals, m_reject_.unknown_worker_removals);
-  sync_mirror(local_rejections_.busy_worker_removals, rej.busy_worker_removals,
-              m_reject_.busy_worker_removals);
-  sync_mirror(local_rejections_.orphan_acceptances, rej.orphan_acceptances,
-              m_reject_.orphan_acceptances);
-  sync_mirror(local_rejections_.deferred_tasks, rej.deferred_tasks,
-              m_reject_.deferred_tasks);
+  // Commit this layer. Nothing below can fail.
+  m_reject_.AbsorbJump(local_rejections_, rej);
   period_ = period;
   next_seq_ = next_seq;
   local_rejections_ = rej;

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "service/replay_driver.h"
 #include "util/logging.h"
 
 namespace maps {
@@ -82,62 +81,6 @@ Result<SimulationResult> RunSimulation(const Workload& workload,
       result.per_period.push_back(ps);
     }
   }
-
-  result.pricing_time_sec = engine.strategy_seconds();
-  result.total_time_sec = result.warmup_time_sec + result.pricing_time_sec;
-  result.memory_bytes =
-      engine.peak_platform_bytes() + engine.peak_strategy_bytes();
-  return result;
-}
-
-Result<SimulationResult> RunReplayStream(ReplayEventStream* stream,
-                                         const GridPartition& grid,
-                                         PricingStrategy* strategy,
-                                         const DemandOracle* warmup_oracle,
-                                         const SimOptions& options) {
-  if (stream == nullptr) return Status::InvalidArgument("null event stream");
-  if (strategy == nullptr) return Status::InvalidArgument("null strategy");
-
-  SimulationResult result;
-  MarketEngine engine(&grid, strategy, options.engine);
-
-  if (!options.skip_warmup && warmup_oracle != nullptr) {
-    const auto warm_start = Clock::now();
-    DemandOracle history = warmup_oracle->Fork(options.warmup_stream);
-    MAPS_RETURN_NOT_OK(strategy->Warmup(grid, &history));
-    result.warmup_time_sec = Seconds(warm_start, Clock::now());
-  }
-
-  ReplayStreamOptions drive;
-  if (options.collect_per_period) {
-    drive.on_close = [&result](const PeriodOutcome& outcome) {
-      if (outcome.skipped) return Status::OK();
-      PeriodStats ps;
-      ps.period = outcome.period;
-      ps.revenue = outcome.revenue;
-      ps.mc_expected_revenue = outcome.mc_expected_revenue;
-      ps.num_tasks = outcome.num_tasks;
-      ps.num_accepted = static_cast<int32_t>(outcome.accepted.size());
-      ps.num_matched = static_cast<int32_t>(outcome.matches.size());
-      ps.num_available_workers = outcome.num_available_workers;
-      result.per_period.push_back(ps);
-      result.mc_expected_revenue += outcome.mc_expected_revenue;
-      result.num_tasks += outcome.num_tasks;
-      return Status::OK();
-    };
-  } else {
-    drive.on_close = [&result](const PeriodOutcome& outcome) {
-      result.mc_expected_revenue += outcome.mc_expected_revenue;
-      result.num_tasks += outcome.num_tasks;
-      return Status::OK();
-    };
-  }
-  auto summary_or = ReplayEventsThroughEngine(stream, grid, &engine, drive);
-  MAPS_RETURN_NOT_OK(summary_or.status());
-  const ReplayStreamSummary& summary = summary_or.ValueOrDie();
-  result.total_revenue = summary.total_revenue;
-  result.num_accepted = summary.total_accepted;
-  result.num_matched = summary.total_matched;
 
   result.pricing_time_sec = engine.strategy_seconds();
   result.total_time_sec = result.warmup_time_sec + result.pricing_time_sec;

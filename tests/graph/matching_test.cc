@@ -3,13 +3,14 @@
 #include <algorithm>
 
 #include "graph/bipartite_graph.h"
-#include "graph/hopcroft_karp.h"
 #include "graph/incremental_matching.h"
-#include "graph/kuhn.h"
+#include "reference_matchers.h"
 #include "rng/random.h"
 
 namespace maps {
 namespace {
+
+using testing_util::KuhnMatching;
 
 BipartiteGraph RandomGraph(Rng& rng, int max_l, int max_r, double density) {
   const int nl = 1 + static_cast<int>(rng.NextBounded(max_l));
@@ -50,26 +51,25 @@ TEST(KuhnTest, KnownSmallCases) {
   // No edges.
   auto empty = BipartiteGraph::FromEdges(3, 3, {});
   EXPECT_EQ(KuhnMatching(empty).size, 0);
-}
 
-TEST(HopcroftKarpTest, KnownSmallCases) {
-  auto g = BipartiteGraph::FromEdges(
+  // Perfect 3x3 matching that needs an augmenting re-route.
+  auto three = BipartiteGraph::FromEdges(
       3, 3, {{0, 0}, {0, 1}, {1, 0}, {2, 1}, {2, 2}});
-  EXPECT_EQ(HopcroftKarpMatching(g).size, 3);
+  auto m3 = KuhnMatching(three);
+  CheckValidMatching(three, m3);
+  EXPECT_EQ(m3.size, 3);
 }
 
 class MatchingEquivalenceTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(MatchingEquivalenceTest, KuhnEqualsHopcroftKarpEqualsIncremental) {
-  // Property: all three matchers agree on maximum cardinality.
+  // Property: IncrementalMatching reaches the maximum cardinality the Kuhn
+  // reference computes.
   Rng rng(static_cast<uint64_t>(GetParam() * 1000) + 5);
   for (int trial = 0; trial < 60; ++trial) {
     const BipartiteGraph g = RandomGraph(rng, 30, 30, GetParam());
     const Matching kuhn = KuhnMatching(g);
-    const Matching hk = HopcroftKarpMatching(g);
     CheckValidMatching(g, kuhn);
-    CheckValidMatching(g, hk);
-    ASSERT_EQ(kuhn.size, hk.size) << "trial " << trial;
 
     IncrementalMatching inc(&g);
     for (int l = 0; l < g.num_left(); ++l) inc.TryAugment(l);
@@ -123,11 +123,11 @@ TEST(IncrementalMatchingTest, AugmentFirstSkipsMatchedAndPicksFirstFeasible) {
 TEST(IncrementalMatchingTest, SinglePassCoreMatchesHopcroftKarp) {
   // Post-refactor guard: driving the matching exclusively through the
   // probe/commit pair (FindAugmentablePath + CommitPath) must reach the
-  // same maximum cardinality Hopcroft-Karp computes.
+  // maximum cardinality the Kuhn reference computes.
   Rng rng(4242);
   for (int trial = 0; trial < 60; ++trial) {
     const BipartiteGraph g = RandomGraph(rng, 40, 30, 0.1);
-    const Matching hk = HopcroftKarpMatching(g);
+    const Matching reference = KuhnMatching(g);
 
     IncrementalMatching inc(&g);
     std::vector<int> all(g.num_left());
@@ -137,7 +137,7 @@ TEST(IncrementalMatchingTest, SinglePassCoreMatchesHopcroftKarp) {
       ASSERT_TRUE(inc.CommitPath(path)) << "fresh path must commit";
     }
     CheckValidMatching(g, inc.matching());
-    ASSERT_EQ(inc.size(), hk.size) << "trial " << trial;
+    ASSERT_EQ(inc.size(), reference.size) << "trial " << trial;
   }
 }
 
@@ -174,11 +174,11 @@ TEST(IncrementalMatchingTest, StaleReroutedPathStillRejected) {
 TEST(IncrementalMatchingTest, RandomizedProbeCommitInterleavingStaysMaximum) {
   // Probe one candidate half, commit later (possibly stale after the other
   // half augmented), falling back to AugmentFirst — the exact discipline
-  // PriceRound uses. Final size must still match Hopcroft-Karp.
+  // PriceRound uses. Final size must still be the maximum cardinality.
   Rng rng(1717);
   for (int trial = 0; trial < 40; ++trial) {
     const BipartiteGraph g = RandomGraph(rng, 30, 20, 0.15);
-    const Matching hk = HopcroftKarpMatching(g);
+    const Matching reference = KuhnMatching(g);
     IncrementalMatching inc(&g);
     std::vector<int> half_a, half_b;
     for (int l = 0; l < g.num_left(); ++l) {
@@ -199,7 +199,7 @@ TEST(IncrementalMatchingTest, RandomizedProbeCommitInterleavingStaysMaximum) {
       }
     }
     CheckValidMatching(g, inc.matching());
-    ASSERT_EQ(inc.size(), hk.size) << "trial " << trial;
+    ASSERT_EQ(inc.size(), reference.size) << "trial " << trial;
   }
 }
 
@@ -277,7 +277,7 @@ TEST(IncrementalMatchingTest, DeadPruningNeverChangesFeasibility) {
   // Randomized cross-validation: drive one instance through the PriceRound
   // probe/commit discipline (which prunes) and compare every feasibility
   // answer against a fresh pruning-free oracle built per query by replaying
-  // the committed roots through Hopcroft-Karp-equivalent growth.
+  // the committed roots through plain augmenting-path growth.
   Rng rng(909);
   for (int trial = 0; trial < 40; ++trial) {
     const BipartiteGraph g = RandomGraph(rng, 24, 14, 0.12);
@@ -302,7 +302,7 @@ TEST(IncrementalMatchingTest, DeadPruningNeverChangesFeasibility) {
       if (root == Matching::kUnmatched) break;
       ASSERT_TRUE(inc.CommitPath(path));
     }
-    ASSERT_EQ(inc.size(), HopcroftKarpMatching(g).size) << trial;
+    ASSERT_EQ(inc.size(), KuhnMatching(g).size) << trial;
   }
 }
 

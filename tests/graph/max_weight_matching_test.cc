@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/hungarian.h"
+#include "reference_matchers.h"
 #include "rng/random.h"
 
 namespace maps {
 namespace {
+
+using testing_util::HungarianMaxWeight;
 
 TEST(HungarianTest, KnownAssignment) {
   // Best over all permutations (unmatched allowed): 7 + 2 = 9, realized by

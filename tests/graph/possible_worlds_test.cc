@@ -57,33 +57,6 @@ TEST(PossibleWorldsTest, DegenerateProbabilities) {
       ExactExpectedRevenue(g, {{2.0, 2.0, 1.0}, {9.0, 9.0, 0.0}}), 4.0);
 }
 
-TEST(PossibleWorldsTest, MonteCarloAgreesWithExact) {
-  Rng geom(7);
-  for (int trial = 0; trial < 5; ++trial) {
-    const int nt = 2 + static_cast<int>(geom.NextBounded(6));
-    const int nw = 1 + static_cast<int>(geom.NextBounded(4));
-    std::vector<std::pair<int, int>> edges;
-    for (int t = 0; t < nt; ++t) {
-      for (int w = 0; w < nw; ++w) {
-        if (geom.NextBernoulli(0.5)) edges.push_back({t, w});
-      }
-    }
-    auto g = BipartiteGraph::FromEdges(nt, nw, std::move(edges));
-    std::vector<PricedTask> tasks(nt);
-    for (auto& t : tasks) {
-      t.distance = geom.NextDouble(0.5, 3.0);
-      t.price = geom.NextDouble(1.0, 5.0);
-      t.accept_prob = geom.NextDouble(0.1, 0.9);
-    }
-    const double exact = ExactExpectedRevenue(g, tasks);
-    Rng mc(trial);
-    const double estimate = MonteCarloExpectedRevenue(g, tasks, mc, 40000);
-    // Bound the deviation loosely: ~4 sigma of the MC mean.
-    EXPECT_NEAR(estimate, exact, std::max(0.05, exact * 0.05))
-        << "trial " << trial;
-  }
-}
-
 TEST(PossibleWorldsTest, PoolBackedEnumerationBitIdenticalAcrossThreads) {
   // The mask space is split into shards whose boundaries depend on n only;
   // partial sums are folded in shard order, so the expectation is

@@ -104,16 +104,6 @@ TEST(ObsExportTest, TraceJsonlHasOneObjectPerEvent) {
             "\"region\":-1,\"value\":512,\"detail\":\"\"}\n");
 }
 
-TEST(ObsExportTest, TextDumpListsEveryMetric) {
-  MetricsRegistry r;
-  TraceLog t;
-  Populate(&r, &t);
-  const std::string text = RenderMetricsText(r);
-  EXPECT_NE(text.find("det.count 11"), std::string::npos);
-  EXPECT_NE(text.find("wall.depth value=9 max=9"), std::string::npos);
-  EXPECT_NE(text.find("wall.lat_ns count=1"), std::string::npos);
-}
-
 TEST(ObsExportTest, QuoteEscapesControlCharacters) {
   MetricsRegistry r;
   r.GetCounter("na\"me\\with\nescapes", Determinism::kDeterministic)->Add(1);

@@ -1,6 +1,6 @@
 // Streaming replay: the ReplayEventStream reader, the shared engine driver
-// behind `maps_cli replay` and the simulator's streaming adapter, and the
-// O(1)-ingestion-memory contract a multi-million-event log relies on.
+// behind `maps_cli replay`, and the O(1)-ingestion-memory contract a
+// multi-million-event log relies on.
 
 #include "service/replay_driver.h"
 
@@ -327,9 +327,9 @@ TEST(ReplayDriverTest, ShardedOverloadMatchesMonolithOnBoundaryFreeLog) {
 }
 
 // ---------------------------------------------------------------------------
-// The simulator's streaming adapter against its materialized twin.
+// The streaming driver against the simulator's materialized replay.
 
-TEST(ReplayDriverTest, RunReplayStreamMatchesRunSimulationOnExportedLog) {
+TEST(ReplayDriverTest, StreamedEngineMatchesRunSimulationOnExportedLog) {
   SyntheticConfig cfg;
   cfg.num_workers = 60;
   cfg.num_tasks = 240;
@@ -349,19 +349,25 @@ TEST(ReplayDriverTest, RunReplayStreamMatchesRunSimulationOnExportedLog) {
   ASSERT_TRUE(WriteReplayLog(workload, exported).ok());
   std::istringstream in(exported.str());
   ReplayEventStream stream(in);
-  SimOptions stream_options = options;
-  stream_options.engine.lifecycle = workload.lifecycle;
+  EngineOptions engine_options;
+  engine_options.lifecycle = workload.lifecycle;
   CellLocalStrategy stream_strategy;
-  const SimulationResult streamed =
-      RunReplayStream(&stream, workload.grid, &stream_strategy,
-                      /*warmup_oracle=*/nullptr, stream_options)
+  MarketEngine engine(&workload.grid, &stream_strategy, engine_options);
+  int64_t streamed_tasks = 0;
+  ReplayStreamOptions drive;
+  drive.on_close = [&streamed_tasks](const PeriodOutcome& outcome) {
+    streamed_tasks += outcome.num_tasks;
+    return Status::OK();
+  };
+  const ReplayStreamSummary streamed =
+      ReplayEventsThroughEngine(&stream, workload.grid, &engine, drive)
           .ValueOrDie();
 
-  EXPECT_EQ(streamed.num_tasks, batch.num_tasks);
-  EXPECT_EQ(streamed.num_accepted, batch.num_accepted);
-  EXPECT_EQ(streamed.num_matched, batch.num_matched);
+  EXPECT_EQ(streamed_tasks, batch.num_tasks);
+  EXPECT_EQ(streamed.total_accepted, batch.num_accepted);
+  EXPECT_EQ(streamed.total_matched, batch.num_matched);
   EXPECT_EQ(streamed.total_revenue, batch.total_revenue);  // bit-identical
-  ASSERT_GT(streamed.num_matched, 0);
+  ASSERT_GT(streamed.total_matched, 0);
 }
 
 }  // namespace
