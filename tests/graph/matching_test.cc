@@ -51,13 +51,22 @@ TEST(KuhnTest, KnownSmallCases) {
   // No edges.
   auto empty = BipartiteGraph::FromEdges(3, 3, {});
   EXPECT_EQ(KuhnMatching(empty).size, 0);
+}
 
-  // Perfect 3x3 matching that needs an augmenting re-route.
-  auto three = BipartiteGraph::FromEdges(
+TEST(HopcroftKarpTest, KnownSmallCases) {
+  // The perfect 3x3 case the deleted Hopcroft-Karp matcher was pinned on,
+  // kept under its old id: it needs an augmenting re-route, and both the
+  // Kuhn reference and the library's IncrementalMatching must find it.
+  auto g = BipartiteGraph::FromEdges(
       3, 3, {{0, 0}, {0, 1}, {1, 0}, {2, 1}, {2, 2}});
-  auto m3 = KuhnMatching(three);
-  CheckValidMatching(three, m3);
-  EXPECT_EQ(m3.size, 3);
+  const Matching kuhn = KuhnMatching(g);
+  CheckValidMatching(g, kuhn);
+  EXPECT_EQ(kuhn.size, 3);
+
+  IncrementalMatching inc(&g);
+  for (int l = 0; l < g.num_left(); ++l) inc.TryAugment(l);
+  CheckValidMatching(g, inc.matching());
+  EXPECT_EQ(inc.size(), 3);
 }
 
 class MatchingEquivalenceTest : public ::testing::TestWithParam<double> {};
