@@ -127,9 +127,11 @@ Status MarketEngine::AddWorker(const Worker& worker) {
                                    " outside the partition");
   }
   rec.next_free = period_;
-  rec.retire_at = worker.duration == Worker::kUnlimitedDuration
-                      ? std::numeric_limits<int32_t>::max()
-                      : period_ + worker.duration;
+  // Summed in 64 bits: a replay file may carry any int32 duration, and
+  // past INT32_MAX the worker is as good as unlimited.
+  rec.retire_at = static_cast<int32_t>(
+      std::min<int64_t>(int64_t{period_} + worker.duration,
+                        std::numeric_limits<int32_t>::max()));
   const int idx = static_cast<int>(workers_.size());
   workers_.push_back(rec);
   matched_flag_.push_back(0);

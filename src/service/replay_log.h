@@ -13,12 +13,21 @@
 // derives it from the origin/destination pair. "duration" is optional
 // (default: unlimited). The parser knows nothing about the grid — the
 // driver fills Task::grid / Worker::grid from its partition.
+//
+// Each line is parsed in one scan: the value of every known key lands in a
+// fixed slot (a view into the line), then the slots the event kind needs
+// are decoded with std::from_chars. The success path allocates nothing.
+// Numbers take from_chars' spelling, which is JSON's plus "1." and ".5":
+// a leading '+', whitespace inside a quoted number and hexadecimal ("0x10")
+// are rejected, naming the field. A decimal too small for a double reads
+// as a signed zero (1e-400 is 0.0), as strtod rounds it.
 
 #pragma once
 
 #include <istream>
+#include <limits>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "market/task.h"
 #include "market/worker.h"
@@ -45,7 +54,7 @@ struct ReplayEvent {
   /// derive); grid left unset for the driver.
   Task task;
   /// kSubmitTask: hidden valuation, NaN when the file omitted it.
-  double valuation = 0.0;
+  double valuation = std::numeric_limits<double>::quiet_NaN();
   bool has_valuation = false;
   /// kAddWorker: id/location/radius/duration; grid left unset.
   Worker worker;
@@ -60,18 +69,19 @@ struct ReplayEvent {
 /// Numeric fields are validated before use: integer fields (ids, duration)
 /// must parse fully as in-range integers — non-integral, overflowing, NaN,
 /// or infinite values are rejected, never cast — and coordinate/valuation
-/// fields must be finite. Every rejection names the offending field.
-Result<ReplayEvent> ParseReplayEventLine(const std::string& line);
+/// fields must be finite. Every rejection names the offending field; a
+/// syntax error names the column. Every key may appear at most once.
+Result<ReplayEvent> ParseReplayEventLine(std::string_view line);
 
-/// \brief Tuning knobs for LoadReplayLog.
+/// \brief Tuning knobs for ReplayEventStream.
 struct ReplayLoadOptions {
   /// When true, a malformed line is logged at Warning, counted in
   /// ReplayLoadStats::lines_skipped, and dropped instead of failing the
-  /// whole load. Structural damage (an unreadable stream) still fails.
+  /// whole read. Structural damage (an unreadable stream) still fails.
   bool skip_bad_events = false;
 };
 
-/// \brief Counters reported by LoadReplayLog.
+/// \brief Counters reported by ReplayEventStream::stats().
 struct ReplayLoadStats {
   /// Malformed lines dropped because of ReplayLoadOptions::skip_bad_events.
   int64_t lines_skipped = 0;
@@ -129,16 +139,5 @@ class ReplayEventStream {
   obs::Counter* m_events_ = nullptr;
   obs::Counter* m_skipped_ = nullptr;
 };
-
-/// \brief Reads a whole event log into memory, skipping blanks and '#'
-/// comments. Errors carry the 1-based line number and the offending field.
-/// Prefer ReplayEventStream for logs of unbounded size — this materializes
-/// every event.
-Result<std::vector<ReplayEvent>> LoadReplayLog(std::istream& in,
-                                               const ReplayLoadOptions& options,
-                                               ReplayLoadStats* stats = nullptr);
-
-/// \brief Strict load: any malformed line fails with its line number.
-Result<std::vector<ReplayEvent>> LoadReplayLog(std::istream& in);
 
 }  // namespace maps

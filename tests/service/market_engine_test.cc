@@ -311,6 +311,22 @@ TEST(MarketEngineTest, RemoveWorkerStopsServingFromNextClose) {
   EXPECT_TRUE(engine.RemoveWorker(99).IsNotFound());
 }
 
+TEST(MarketEngineTest, HugeDurationSaturatesAtTheLastPeriod) {
+  // A replay line may carry any int32 duration. Admitted after two closes,
+  // INT32_MAX - 1 would overflow period + duration; the sum saturates, so
+  // the worker stays live instead of retiring at once.
+  const GridPartition grid = OneCellGrid();
+  FixedPriceStrategy fixed(1.0);
+  MarketEngine engine(&grid, &fixed, EngineOptions{});
+  PeriodOutcome outcome;
+  for (int p = 0; p < 2; ++p) ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  Worker worker = MakeWorker(grid, 0, {5, 5}, 5.0, 2);
+  worker.duration = 2147483646;
+  ASSERT_TRUE(engine.AddWorker(worker).ok());
+  for (int p = 0; p < 3; ++p) ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  EXPECT_EQ(engine.num_live_workers(), 1);
+}
+
 TEST(MarketEngineTest, ObserveAcceptanceOverridesHiddenValuation) {
   const GridPartition grid = OneCellGrid();
   FixedPriceStrategy fixed(3.0);

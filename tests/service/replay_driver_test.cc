@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_util.h"
 #include "geo/region_partition.h"
 #include "service/replay_log.h"
 #include "sharded_test_util.h"
@@ -23,6 +24,7 @@ namespace maps {
 namespace {
 
 using testing_util::CellLocalStrategy;
+using testing_util::DrainReplayStream;
 
 GridPartition MakeGrid() {
   return GridPartition::Make(Rect{0, 0, 100, 100}, 4, 4).ValueOrDie();
@@ -47,7 +49,7 @@ TEST(ReplayEventStreamTest, YieldsExactlyWhatLoadMaterializes) {
 
   std::istringstream load_in(corpus);
   const std::vector<ReplayEvent> loaded =
-      LoadReplayLog(load_in).ValueOrDie();
+      DrainReplayStream(load_in).ValueOrDie();
 
   std::istringstream stream_in(corpus);
   ReplayEventStream stream(stream_in);
@@ -148,7 +150,7 @@ TEST(ReplayEventStreamTest, IngestionFootprintIsIndependentOfLogLength) {
   // orders of magnitude above the streaming ceiling.
   std::istringstream load_in(large_log);
   const std::vector<ReplayEvent> loaded =
-      LoadReplayLog(load_in).ValueOrDie();
+      DrainReplayStream(load_in).ValueOrDie();
   const size_t materialized = loaded.capacity() * sizeof(ReplayEvent);
   EXPECT_GT(materialized, 1000 * large_peak);
 }

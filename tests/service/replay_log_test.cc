@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
+#include "../test_util.h"
 #include "sim/scenario_fuzzer.h"
 #include "util/fault_injector.h"
 
 namespace maps {
 namespace {
+
+using testing_util::DrainReplayStream;
 
 TEST(ReplayLogTest, ParsesEveryEventKind) {
   auto submit = ParseReplayEventLine(
@@ -63,6 +69,7 @@ TEST(ReplayLogTest, OmittedValuationIsFlagged) {
                 R"("dy":1})")
                 .ValueOrDie();
   EXPECT_FALSE(ev.has_valuation);
+  EXPECT_TRUE(std::isnan(ev.valuation));
 }
 
 TEST(ReplayLogTest, RejectsMalformedLines) {
@@ -82,6 +89,11 @@ TEST(ReplayLogTest, RejectsMalformedLines) {
   // Duplicate keys and nested values are schema violations.
   EXPECT_FALSE(
       ParseReplayEventLine(R"({"event":"close_period","event":"x"})").ok());
+  EXPECT_TRUE(ParseReplayEventLine(R"({"event":"close_period","n":1,"m":1})")
+                  .ok());
+  EXPECT_FALSE(
+      ParseReplayEventLine(R"({"event":"close_period","n":1,"m":"n","n":2})")
+          .ok());
   EXPECT_FALSE(
       ParseReplayEventLine(R"({"event":"close_period","extra":{}})").ok());
 }
@@ -95,7 +107,7 @@ TEST(ReplayLogTest, LoadSkipsBlanksAndCommentsAndNumbersErrors) {
       "   # indented comment\n"
       R"({"event":"close_period"})"
       "\n");
-  auto events = LoadReplayLog(good).ValueOrDie();
+  auto events = DrainReplayStream(good).ValueOrDie();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, ReplayEvent::Kind::kAddWorker);
   EXPECT_EQ(events[1].kind, ReplayEvent::Kind::kClosePeriod);
@@ -105,9 +117,48 @@ TEST(ReplayLogTest, LoadSkipsBlanksAndCommentsAndNumbersErrors) {
       R"({"event":"close_period"})"
       "\n"
       "{broken\n");
-  auto err = LoadReplayLog(bad);
+  auto err = DrainReplayStream(bad);
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("line 3"), std::string::npos);
+}
+
+TEST(ReplayLogTest, CrlfLogYieldsTheLfEvents) {
+  const std::string lf =
+      "# header\n"
+      "\n"
+      R"({"event":"add_worker","id":1,"x":0.5,"y":2,"radius":3,)"
+      R"("duration":4})"
+      "\n"
+      R"({"event":"submit_task","id":2,"ox":1,"oy":1,"dx":2,"dy":3,)"
+      R"("valuation":1.25})"
+      "\n"
+      R"({"event":"observe_acceptance","task":2,"accepted":false})"
+      "\n"
+      R"({"event":"remove_worker","id":1})"
+      "\n"
+      R"({"event":"close_period"})"
+      "\n";
+  // Every line, the blank one and the comment included, ends in "\r\n".
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::istringstream lf_in(lf);
+  std::istringstream crlf_in(crlf);
+  ReplayLoadStats lf_stats;
+  ReplayLoadStats crlf_stats;
+  const auto lf_events = DrainReplayStream(lf_in, {}, &lf_stats).ValueOrDie();
+  const auto crlf_events =
+      DrainReplayStream(crlf_in, {}, &crlf_stats).ValueOrDie();
+  ASSERT_EQ(lf_events.size(), 5u);
+  ASSERT_EQ(crlf_events.size(), lf_events.size());
+  for (size_t i = 0; i < lf_events.size(); ++i) {
+    EXPECT_TRUE(testing_util::SameReplayEvent(crlf_events[i], lf_events[i]))
+        << "event " << i;
+  }
+  EXPECT_EQ(crlf_stats.events_loaded, lf_stats.events_loaded);
+  EXPECT_EQ(crlf_stats.lines_skipped, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,6 +223,71 @@ TEST(ReplayLogTest, RejectsNonFiniteAndNonIntegralNumbers) {
   EXPECT_NE(st.message().find("'oy'"), std::string::npos);
 }
 
+TEST(ReplayLogTest, NumberSpellingsFollowFromChars) {
+  const auto origin_x = [](const std::string& value) {
+    return ParseReplayEventLine(R"({"event":"submit_task","id":1,"ox":)" +
+                                value + R"(,"oy":0,"dx":1,"dy":1})");
+  };
+  // Too small for a double: a signed zero, as strtod rounded it, however
+  // far out the exponent (from_chars calls these out of range).
+  for (const char* value : {"1e-400", "1E-400", "0.0000000001e-320",
+                            "1e-99999999999999999999999"}) {
+    const double x = origin_x(value).ValueOrDie().task.origin.x;
+    EXPECT_EQ(std::bit_cast<uint64_t>(x), 0u) << value;
+  }
+  const double negative_zero = origin_x("-1e-400").ValueOrDie().task.origin.x;
+  EXPECT_EQ(std::bit_cast<uint64_t>(negative_zero),
+            std::bit_cast<uint64_t>(-0.0));
+  // The smallest subnormal reads bit-exact, and so does a round-trip
+  // spelling with every digit.
+  EXPECT_EQ(std::bit_cast<uint64_t>(
+                origin_x("4.9e-324").ValueOrDie().task.origin.x),
+            1u);
+  EXPECT_EQ(origin_x("0.10000000000000001").ValueOrDie().task.origin.x, 0.1);
+  // Too large, however the exponent is spelled, is still rejected.
+  for (const char* value : {"1e309", "1e+400", "1e99999999999999999999999",
+                            "10000000000000000000e300"}) {
+    const auto st = origin_x(value).status();
+    ASSERT_FALSE(st.ok()) << value;
+    EXPECT_NE(st.message().find("field 'ox' must be a finite number"),
+              std::string::npos)
+        << st.message();
+  }
+
+  // The deliberate tightening: spellings strtod/strtoll took but JSON does
+  // not allow are rejected with the field named.
+  struct Case {
+    const char* line;
+    const char* message;
+  };
+  for (const Case& c : std::initializer_list<Case>{
+           {R"({"event":"add_worker","id":1,"x":0x10,"y":0,"radius":1})",
+            "add_worker event field 'x' must be a finite number, got '0x10'"},
+           {R"({"event":"add_worker","id":1,"x":"-0X1p3","y":0,"radius":1})",
+            "add_worker event field 'x' must be a finite number, got "
+            "'-0X1p3'"},
+           {R"({"event":"remove_worker","id":"+5"})",
+            "remove_worker event field 'id' must be a 64-bit integer, got "
+            "'+5'"},
+           {R"({"event":"submit_task","id":1,"ox":"+1.5","oy":0,"dx":1,)"
+            R"("dy":1})",
+            "submit_task event field 'ox' must be a finite number, got "
+            "'+1.5'"},
+           {R"({"event":"submit_task","id":1,"ox":" 1","oy":0,"dx":1,)"
+            R"("dy":1})",
+            "submit_task event field 'ox' must be a finite number, got ' 1'"},
+           {"{\"event\":\"observe_acceptance\",\"task\":\"\t7\","
+            "\"accepted\":true}",
+            "observe_acceptance event field 'task' must be a 64-bit integer, "
+            "got '\t7'"},
+       }) {
+    const auto st = ParseReplayEventLine(c.line).status();
+    ASSERT_FALSE(st.ok()) << c.line;
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message(), c.message);
+  }
+}
+
 TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
   const std::string corpus =
       "# broken-log corpus\n"
@@ -187,7 +303,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
 
   // Strict load fails on the first bad line, with its number.
   std::istringstream strict(corpus);
-  auto err = LoadReplayLog(strict);
+  auto err = DrainReplayStream(strict);
   ASSERT_FALSE(err.ok());
   EXPECT_NE(err.status().message().find("line 3"), std::string::npos);
 
@@ -196,7 +312,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
-  auto events = LoadReplayLog(lax, options, &stats).ValueOrDie();
+  auto events = DrainReplayStream(lax, options, &stats).ValueOrDie();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, ReplayEvent::Kind::kAddWorker);
   EXPECT_EQ(events[1].kind, ReplayEvent::Kind::kClosePeriod);
@@ -207,7 +323,7 @@ TEST(ReplayLogTest, SkipBadEventsDropsAndCountsMalformedLines) {
   std::istringstream clean(R"({"event":"close_period"})");
   ReplayLoadStats clean_stats;
   ASSERT_TRUE(
-      LoadReplayLog(clean, ReplayLoadOptions{}, &clean_stats).ok());
+      DrainReplayStream(clean, ReplayLoadOptions{}, &clean_stats).ok());
   EXPECT_EQ(clean_stats.lines_skipped, 0);
   EXPECT_EQ(clean_stats.events_loaded, 1);
 }
@@ -269,7 +385,7 @@ TEST(ReplayLogTest, SkipBadEventsRecoversEveryCorpusEntry) {
   ReplayLoadOptions options;
   options.skip_bad_events = true;
   ReplayLoadStats stats;
-  const auto events = LoadReplayLog(in, options, &stats).ValueOrDie();
+  const auto events = DrainReplayStream(in, options, &stats).ValueOrDie();
   EXPECT_EQ(events.size(), corpus.size());
   EXPECT_EQ(stats.lines_skipped, static_cast<int64_t>(corpus.size()));
   EXPECT_EQ(stats.events_loaded, static_cast<int64_t>(corpus.size()));
@@ -283,7 +399,7 @@ TEST(ReplayLogTest, InjectedReadErrorFailsAtTheArmedLine) {
 
   ScopedFaultPlan plan("read_err@p2");
   std::istringstream in(log);
-  auto err = LoadReplayLog(in);
+  auto err = DrainReplayStream(in);
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kInternal);
   EXPECT_NE(err.status().message().find("line 2"), std::string::npos);
@@ -293,7 +409,7 @@ TEST(ReplayLogTest, InjectedReadErrorFailsAtTheArmedLine) {
   std::istringstream again(log);
   ReplayLoadOptions options;
   options.skip_bad_events = true;
-  EXPECT_FALSE(LoadReplayLog(again, options).ok());
+  EXPECT_FALSE(DrainReplayStream(again, options).ok());
   EXPECT_EQ(FaultInjector::Global().fires(FaultRule::Kind::kReplayReadError),
             2);
 }

@@ -2,14 +2,18 @@
 
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <istream>
 #include <memory>
 #include <vector>
 
 #include "market/demand_oracle.h"
 #include "market/market_state.h"
 #include "rng/random.h"
+#include "service/replay_log.h"
+#include "util/result.h"
 
 namespace maps {
 namespace testing_util {
@@ -64,6 +68,48 @@ inline DemandOracle TableOneOracle(int num_grids, uint64_t seed = 1) {
   TabulatedDemand proto({1.0, 2.0, 3.0}, {0.9, 0.8, 0.5});
   return DemandOracle::Make(ReplicateDemand(proto, num_grids), seed)
       .ValueOrDie();
+}
+
+/// \brief Drains a ReplayEventStream into memory: every event of `in`,
+/// or the stream's first error (which carries the line number). `stats`,
+/// when given, receives the stream's skip/load counters.
+inline Result<std::vector<ReplayEvent>> DrainReplayStream(
+    std::istream& in, const ReplayLoadOptions& options = {},
+    ReplayLoadStats* stats = nullptr) {
+  ReplayEventStream stream(in, options);
+  std::vector<ReplayEvent> events;
+  ReplayEvent ev;
+  while (true) {
+    MAPS_ASSIGN_OR_RETURN(const bool more, stream.Next(&ev));
+    if (!more) break;
+    events.push_back(ev);
+  }
+  if (stats != nullptr) *stats = stream.stats();
+  return events;
+}
+
+/// \brief True when two events agree in every field, doubles compared by
+/// bit pattern (so NaN equals NaN and 0.0 differs from -0.0).
+inline bool SameReplayEvent(const ReplayEvent& a, const ReplayEvent& b) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+  };
+  return a.kind == b.kind && a.task.id == b.task.id &&
+         a.task.period == b.task.period &&
+         same(a.task.origin.x, b.task.origin.x) &&
+         same(a.task.origin.y, b.task.origin.y) &&
+         same(a.task.destination.x, b.task.destination.x) &&
+         same(a.task.destination.y, b.task.destination.y) &&
+         same(a.task.distance, b.task.distance) &&
+         a.task.grid == b.task.grid && same(a.valuation, b.valuation) &&
+         a.has_valuation == b.has_valuation && a.worker.id == b.worker.id &&
+         a.worker.period == b.worker.period &&
+         same(a.worker.location.x, b.worker.location.x) &&
+         same(a.worker.location.y, b.worker.location.y) &&
+         same(a.worker.radius, b.worker.radius) &&
+         a.worker.duration == b.worker.duration &&
+         a.worker.grid == b.worker.grid && a.id == b.id &&
+         a.accepted == b.accepted;
 }
 
 /// \brief Welford's online mean/variance accumulator for statistical
