@@ -32,6 +32,7 @@
 #include "service/sharded_engine.h"
 #include "sharded_test_util.h"
 #include "util/fault_injector.h"
+#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace maps {
@@ -405,6 +406,86 @@ TEST(ChaosHarnessTest, FaultedRunsAreBitIdenticalAcrossThreadCounts) {
     ShardedRun run = MakeShardedRun(grid, 2, options);
     const RunTrace got = DriveChaos(script, run.engine.get(), label);
     ExpectTracesBitIdentical(ref, got, label, /*compare_health=*/true);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Faulted outcomes are pinned: a CRC-32 over everything a faulted run
+// serves, so any change to the quarantine rewind that moves one bit of a
+// quote, a match, a revenue fold, a health report or a counter fails here
+// (the golden-digest idea of checkpoint_golden_test.cc, applied to serving).
+
+uint32_t OutcomeDigest(const RunTrace& trace) {
+  StateWriter w;
+  for (const PeriodOutcome& o : trace.outcomes) {
+    w.PutI32(o.period);
+    w.PutBool(o.skipped);
+    w.PutU64(o.prices.size());
+    for (double p : o.prices) w.PutDouble(p);
+    w.PutU64(o.accepted.size());
+    for (TaskId id : o.accepted) w.PutI64(id);
+    w.PutU64(o.matches.size());
+    for (const MatchRecord& m : o.matches) {
+      w.PutI64(m.task);
+      w.PutI64(m.worker);
+      w.PutDouble(m.revenue);
+    }
+    w.PutDouble(o.revenue);
+    w.PutU64(o.region_health.size());
+    for (const RegionHealth& h : o.region_health) {
+      w.PutI32(static_cast<int32_t>(h.state));
+      w.PutI32(h.attempts);
+      w.PutI32(h.quarantined_since);
+    }
+  }
+  const EngineRejectionCounters& r = trace.final_rejections;
+  w.PutI64(r.duplicate_tasks);
+  w.PutI64(r.unknown_worker_removals);
+  w.PutI64(r.busy_worker_removals);
+  w.PutI64(r.orphan_acceptances);
+  w.PutI64(r.deferred_tasks);
+  w.PutI64(trace.deferred_at_end);
+  return Crc32(w.data().data(), w.size());
+}
+
+TEST(ChaosHarnessTest, FaultedRunsMatchPinnedDigests) {
+  const GridPartition grid =
+      GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
+  const std::vector<PeriodScript> script = MakeChaosScript(grid, 20260808);
+  // close_fail@r1 attempts at periods 0, 1, 3 and 7, so the period-3
+  // sign-ons and the period-4 removals land inside the quarantine.
+  const std::vector<std::pair<const char*, uint32_t>> plans = {
+      {"close_fail@r0p2", 4091765409u},
+      {"close_stall@r1p6", 89940022u},
+      {"close_fail@r1", 1799944557u},
+      {"seed=5;close_stall~0.3", 3458694856u},
+  };
+  for (const auto& [plan_text, digest] : plans) {
+    for (int threads : {0, 2}) {
+      const std::string label =
+          std::string(plan_text) + " threads=" + std::to_string(threads);
+      SCOPED_TRACE(label);
+      ScopedFaultPlan plan(plan_text);
+      std::unique_ptr<ThreadPool> pool;
+      EngineOptions options = ChaosOptions(true);
+      if (threads > 0) {
+        pool = std::make_unique<ThreadPool>(threads);
+        options.pool = pool.get();
+      }
+      ShardedRun run = MakeShardedRun(grid, 2, options);
+      const RunTrace trace = DriveChaos(script, run.engine.get(), label);
+      ASSERT_EQ(trace.outcomes.size(), static_cast<size_t>(kPeriods));
+      // Every plan must actually fault: a digest of a clean run pins
+      // nothing about the rewind.
+      int degraded_closes = 0;
+      for (const PeriodOutcome& o : trace.outcomes) {
+        for (const RegionHealth& h : o.region_health) {
+          degraded_closes += h.state != RegionHealth::State::kNormal;
+        }
+      }
+      EXPECT_GT(degraded_closes, 0);
+      EXPECT_EQ(OutcomeDigest(trace), digest);
+    }
   }
 }
 
