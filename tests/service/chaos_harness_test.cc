@@ -317,21 +317,39 @@ TEST(ChaosHarnessTest, CloseFailureAtEverySiteRecoversNextPeriod) {
 TEST(ChaosHarnessTest, CloseStallIsQuarantinedAndRewoundLikeAFailure) {
   // A stall is the harder rewind: the region's close RAN (consuming
   // workers, advancing its strategy) before the result was discarded; the
-  // quarantine must restore the pre-close state from the baseline.
+  // quarantine must restore the state the close started from. A failed
+  // close never ran, so a stall at the same site must serve exactly like
+  // a failure: same outcomes, same health, same counters.
   const GridPartition grid =
       GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
   const std::vector<PeriodScript> script = MakeChaosScript(grid, 20260808);
 
-  for (const char* plan_text : {"close_stall@r0p2", "close_stall@r1p6"}) {
-    SCOPED_TRACE(plan_text);
-    ScopedFaultPlan plan(plan_text);
-    ShardedRun run = MakeShardedRun(grid, 2, ChaosOptions(true));
-    const RunTrace trace = DriveChaos(script, run.engine.get(), plan_text);
-    ExpectTaskConservation(trace, plan_text);
-    EXPECT_EQ(trace.deferred_at_end, 0);
-    for (const RegionHealth& h : trace.final_health) {
-      EXPECT_EQ(h.state, RegionHealth::State::kNormal);
+  for (const char* site : {"@r0p2", "@r1p6", "@r1"}) {
+    const std::string stall_text = std::string("close_stall") + site;
+    const std::string fail_text = std::string("close_fail") + site;
+    SCOPED_TRACE(stall_text);
+    const bool persistent = std::string(site) == "@r1";
+    RunTrace stalled;
+    {
+      ScopedFaultPlan plan(stall_text);
+      ShardedRun run = MakeShardedRun(grid, 2, ChaosOptions(true));
+      stalled = DriveChaos(script, run.engine.get(), stall_text);
     }
+    ExpectTaskConservation(stalled, stall_text);
+    if (!persistent) {
+      EXPECT_EQ(stalled.deferred_at_end, 0);
+      for (const RegionHealth& h : stalled.final_health) {
+        EXPECT_EQ(h.state, RegionHealth::State::kNormal);
+      }
+    } else {
+      EXPECT_EQ(stalled.final_health[1].state, RegionHealth::State::kFailed);
+    }
+
+    ScopedFaultPlan plan(fail_text);
+    ShardedRun run = MakeShardedRun(grid, 2, ChaosOptions(true));
+    const RunTrace failed = DriveChaos(script, run.engine.get(), fail_text);
+    ExpectTracesBitIdentical(failed, stalled, stall_text + " vs " + fail_text,
+                             /*compare_health=*/true);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -453,6 +454,68 @@ TEST(MarketEngineTest, RejectionCountersTrackMalformedTraffic) {
   EXPECT_EQ(outcome.rejections.orphan_acceptances, 3);
   EXPECT_EQ(outcome.rejections.duplicate_tasks, 1);
   ASSERT_EQ(outcome.accepted.size(), 1u);
+}
+
+/// The sharded stitch hooks accept only a worker that was idle at the last
+/// close; every other worker gets the same code and message from all three.
+TEST(MarketEngineTest, StitchHooksRejectIneligibleWorkers) {
+  const GridPartition grid = OneCellGrid();
+  FixedPriceStrategy fixed(1.0);
+  EngineOptions options;
+  options.lifecycle.single_use = false;
+  options.lifecycle.speed = 10.0;
+  MarketEngine engine(&grid, &fixed, options);
+
+  Worker retiring = MakeWorker(grid, 1, {5, 5}, 5.0, 0);
+  retiring.duration = 1;  // gone from period 1 on
+  ASSERT_TRUE(engine.AddWorker(retiring).ok());
+  Worker consumed = MakeWorker(grid, 2, {5, 5}, 5.0, 0);
+  consumed.duration = 100;
+  ASSERT_TRUE(engine.AddWorker(consumed).ok());
+  Worker idle = MakeWorker(grid, 4, {5, 5}, 5.0, 0);
+  idle.duration = 100;
+  ASSERT_TRUE(engine.AddWorker(idle).ok());
+  PeriodOutcome outcome;
+  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  ASSERT_TRUE(engine.ClosePeriod(&outcome).ok());
+  ASSERT_EQ(engine.current_period(), 2);
+  ASSERT_TRUE(engine.ConsumeIdleWorker(2).ok());
+  Worker fresh = MakeWorker(grid, 3, {5, 5}, 5.0, 2);
+  fresh.duration = 100;
+  ASSERT_TRUE(engine.AddWorker(fresh).ok());  // joins the open period
+
+  struct Case {
+    WorkerId id;
+    StatusCode code;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {99, StatusCode::kNotFound, "worker id 99 is unknown to this engine"},
+      {3, StatusCode::kFailedPrecondition,
+       "worker id 3 was not idle at the last close"},
+      {2, StatusCode::kFailedPrecondition, "worker id 2 was already consumed"},
+      {1, StatusCode::kFailedPrecondition, "worker id 1 has retired"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("worker " + std::to_string(c.id));
+    const Status consume = engine.ConsumeIdleWorker(c.id);
+    EXPECT_EQ(consume.code(), c.code);
+    EXPECT_EQ(consume.message(), c.message);
+    const Status dispatch = engine.DispatchIdleWorker(c.id, {5, 5}, 3);
+    EXPECT_EQ(dispatch.code(), c.code);
+    EXPECT_EQ(dispatch.message(), c.message);
+    Worker base;
+    int32_t retire_at = 0;
+    const Status extract = engine.ExtractIdleWorker(c.id, &base, &retire_at);
+    EXPECT_EQ(extract.code(), c.code);
+    EXPECT_EQ(extract.message(), c.message);
+  }
+
+  // A dispatch may not end before the open period, even for an eligible
+  // worker; nothing is mutated, so the worker is still stitchable.
+  EXPECT_EQ(engine.DispatchIdleWorker(4, {5, 5}, 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine.DispatchIdleWorker(4, {5, 5}, 3).ok());
 }
 
 TEST(MarketEngineTest, NullOutcomeAndWrongPriceVectorAreErrors) {
