@@ -192,43 +192,41 @@ void MarketEngine::CollectIdleWorkers(std::vector<Worker>* out) const {
   }
 }
 
-Status MarketEngine::ConsumeIdleWorker(WorkerId id) {
-  auto it = worker_index_.find(id);
+Status MarketEngine::FindStitchableWorker(WorkerId id, int* idx) const {
+  const auto it = worker_index_.find(id);
   if (it == worker_index_.end()) {
     return Status::NotFound("worker id " + std::to_string(id) +
                             " is unknown to this engine");
   }
-  WorkerRecord& rec = workers_[it->second];
+  const WorkerRecord& rec = workers_[it->second];
   if (rec.consumed) return NotStitchable(id, "was already consumed");
   if (rec.retire_at < period_) return NotStitchable(id, "has retired");
   if (rec.next_free >= period_) {
     return NotStitchable(id, "was not idle at the last close");
   }
+  *idx = it->second;
+  return Status::OK();
+}
+
+Status MarketEngine::ConsumeIdleWorker(WorkerId id) {
+  int idx = 0;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   // The idle list drops consumed records at the next availability scan.
-  rec.consumed = true;
+  workers_[idx].consumed = true;
   return Status::OK();
 }
 
 Status MarketEngine::DispatchIdleWorker(WorkerId id, const Point& destination,
                                         int32_t next_free) {
-  auto it = worker_index_.find(id);
-  if (it == worker_index_.end()) {
-    return Status::NotFound("worker id " + std::to_string(id) +
-                            " is unknown to this engine");
-  }
+  int idx = 0;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   if (next_free < period_) {
     return Status::InvalidArgument(
         "dispatch of worker " + std::to_string(id) + " ends at period " +
         std::to_string(next_free) + ", before the open period " +
         std::to_string(period_));
   }
-  const int idx = it->second;
   WorkerRecord& rec = workers_[idx];
-  if (rec.consumed) return NotStitchable(id, "was already consumed");
-  if (rec.retire_at < period_) return NotStitchable(id, "has retired");
-  if (rec.next_free >= period_) {
-    return NotStitchable(id, "was not idle at the last close");
-  }
   idle_.erase(std::find(idle_.begin(), idle_.end(), idx));
   rec.base.location = destination;
   rec.base.grid = grid_->CellOf(destination);
@@ -239,18 +237,9 @@ Status MarketEngine::DispatchIdleWorker(WorkerId id, const Point& destination,
 
 Status MarketEngine::ExtractIdleWorker(WorkerId id, Worker* base,
                                        int32_t* retire_at) {
-  auto it = worker_index_.find(id);
-  if (it == worker_index_.end()) {
-    return Status::NotFound("worker id " + std::to_string(id) +
-                            " is unknown to this engine");
-  }
-  const int idx = it->second;
+  int idx = 0;
+  MAPS_RETURN_NOT_OK(FindStitchableWorker(id, &idx));
   WorkerRecord& rec = workers_[idx];
-  if (rec.consumed) return NotStitchable(id, "was already consumed");
-  if (rec.retire_at < period_) return NotStitchable(id, "has retired");
-  if (rec.next_free >= period_) {
-    return NotStitchable(id, "was not idle at the last close");
-  }
   *base = rec.base;
   *retire_at = rec.retire_at;
   // Tombstone: the record stays (indices into workers_ are stable) but the
@@ -258,7 +247,7 @@ Status MarketEngine::ExtractIdleWorker(WorkerId id, Worker* base,
   // re-adopted here later under the same id.
   rec.consumed = true;
   idle_.erase(std::find(idle_.begin(), idle_.end(), idx));
-  worker_index_.erase(it);
+  worker_index_.erase(id);
   return Status::OK();
 }
 

@@ -367,6 +367,11 @@ class MarketEngine {
   size_t peak_strategy_bytes() const { return peak_strategy_bytes_; }
 
  private:
+  /// The eligibility check every stitch hook shares: sets `*idx` to the
+  /// workers_ index of `id` if it was offered at the last close and went
+  /// unmatched; NotFound / FailedPrecondition otherwise.
+  Status FindStitchableWorker(WorkerId id, int* idx) const;
+
   /// Mutable per-worker lifecycle state; `base` carries the current
   /// location/grid (turnaround moves it).
   struct WorkerRecord {

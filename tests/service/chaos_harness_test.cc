@@ -53,9 +53,10 @@ struct PeriodScript {
   std::vector<std::pair<TaskId, bool>> accept_bits;
 };
 
-// A scenario that exercises every journaled worker path: boundary-crossing
-// reach discs (stitch dispatch + turnaround migration), multi-period rides
-// (adopt/extract), mid-run sign-ons and sign-offs, explicit accept bits.
+// A scenario that exercises every worker path a quarantine rewind must
+// restore: boundary-crossing reach discs (stitch dispatch + turnaround
+// migration), multi-period rides (adopt/extract), mid-run sign-ons and
+// sign-offs, explicit accept bits.
 std::vector<PeriodScript> MakeChaosScript(const GridPartition& grid,
                                           uint64_t seed) {
   Rng rng(seed);
