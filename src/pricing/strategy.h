@@ -65,15 +65,14 @@ class PricingStrategy {
   }
 
   /// Lends a thread pool for the strategy's internal parallelism (the
-  /// Algorithm-1 warm-up probe schedule, MAPS's per-round maximizer
-  /// precompute). Non-owning: the pool must outlive its use by the
-  /// strategy — lending nullptr clears a previously lent pool, which
-  /// callers reusing a strategy across pool lifetimes must do. A lent
-  /// pool must never change results —
-  /// strategies shard work per the DESIGN.md §8/§9 determinism policy, so
-  /// output is bit-identical with or without one. Do NOT lend a pool whose
-  /// workers are executing this strategy (e.g. inside an experiment-runner
-  /// cell): nested waits can deadlock a fixed pool. Default: ignore.
+  /// Algorithm-1 warm-up probe schedule). Non-owning: the pool must
+  /// outlive its use by the strategy — lending nullptr clears a previously
+  /// lent pool, which callers reusing a strategy across pool lifetimes
+  /// must do. A lent pool must never change results — strategies shard
+  /// work per the DESIGN.md §8/§9 determinism policy, so output is
+  /// bit-identical with or without one. Lending a pool whose workers run
+  /// this strategy is safe: the strategy's ParallelFor then runs inline on
+  /// that worker (DESIGN.md §8). Default: ignore.
   virtual void LendPool(ThreadPool* pool) { (void)pool; }
 
   /// Computes the unit price for every grid for this period.

@@ -664,11 +664,6 @@ Status MarketEngine::RestoreFromCheckpoint(const std::string& data) {
   reposition_rng_.LoadState(rng_state);
   // The snapshot is derived state: every non-skipped ClosePeriod rebuilds
   // it, so its stale contents are never observed.
-  // Wall-clock and footprint diagnostics describe this process, not the
-  // run; they restart at zero (documented in DESIGN.md §12).
-  strategy_seconds_ = 0.0;
-  peak_platform_bytes_ = 0;
-  peak_strategy_bytes_ = 0;
   if (options_.trace != nullptr) {
     options_.trace->Emit(obs::TraceEvent::Kind::kCheckpointRestored, period_,
                          /*region=*/-1, static_cast<int64_t>(data.size()), "");

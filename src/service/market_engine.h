@@ -91,9 +91,10 @@ struct EngineOptions {
   /// a live deployment has no oracle and leaves this null.
   const DemandOracle* mc_oracle = nullptr;
   /// Optional pool lent to the strategy (warm-up probe schedule) and used
-  /// by the Monte-Carlo diagnostic. Non-owning; must not be a pool whose
-  /// workers call into THIS engine (nested waits can deadlock). Results are
-  /// bit-identical with or without it.
+  /// by the Monte-Carlo diagnostic. Non-owning. It may be the pool whose
+  /// workers call into this engine (sharded region closes, experiment
+  /// cells): the engine's ParallelFor then runs inline on that worker.
+  /// Results are bit-identical with or without it.
   ThreadPool* pool = nullptr;
   /// Quarantine-instead-of-fail for region closes; sharded engine only.
   FailureDomainOptions failure_domains;

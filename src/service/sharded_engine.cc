@@ -48,17 +48,15 @@ ShardedMarketEngine::ShardedMarketEngine(
   MAPS_CHECK(partition_->cols() == grid_->cols());
   MAPS_CHECK(static_cast<int>(strategies.size()) ==
              partition_->num_regions());
-  pool_ = options_.pool;
 
   const int num_regions = partition_->num_regions();
   regions_.reserve(num_regions);
   for (int k = 0; k < num_regions; ++k) {
     MAPS_CHECK(strategies[k] != nullptr);
-    // Region engines run serially inside: the lent pool parallelizes
-    // ACROSS regions only, which keeps every region close bit-identical to
-    // its serial self and the whole close trivially race-free.
+    // Region engines share the lent pool: it backs their strategies'
+    // warm-up, and a region close dispatched onto a worker runs its own
+    // ParallelFor (the MC diagnostic) inline there (DESIGN.md §8).
     EngineOptions region_options = options_;
-    region_options.pool = nullptr;
     // Regions inherit the registry (order-independent counter sums) but
     // never the trace: concurrent region closes would interleave seq ids.
     region_options.trace = nullptr;
@@ -339,23 +337,16 @@ Status ShardedMarketEngine::CloseAllRegions(int32_t t) {
     }
   };
 
-  int num_active = 0;
-  for (int k = 0; k < num_regions; ++k) num_active += region_active_[k];
-  if (pool_ != nullptr && num_active > 1) {
-    internal::Latch latch(num_active);
-    for (int k = 0; k < num_regions; ++k) {
-      if (!region_active_[k]) continue;
-      pool_->Submit([&close_one, k, &latch](int /*worker*/) {
-        close_one(k);
-        latch.Done();
-      });
-    }
-    latch.Wait();
-  } else {
-    for (int k = 0; k < num_regions; ++k) {
-      if (region_active_[k]) close_one(k);
-    }
+  // One shard per active region; the regions share no mutable state.
+  std::vector<int> active;
+  for (int k = 0; k < num_regions; ++k) {
+    if (region_active_[k]) active.push_back(k);
   }
+  const auto num_active = static_cast<int64_t>(active.size());
+  ParallelFor(options_.pool, SplitRange(num_active, num_active),
+              [&](int shard, const IndexRange& /*range*/, int /*worker*/) {
+                close_one(active[shard]);
+              });
 
   // Evaluate serially in region order (quarantine processing mutates the
   // injector-independent domain state deterministically).

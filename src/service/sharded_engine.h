@@ -7,12 +7,13 @@
 //   * SubmitTask routes by the task's origin cell; AddWorker by the
 //     worker's location cell; RemoveWorker / ObserveAcceptance by the
 //     routing tables this layer maintains.
-//   * ClosePeriod closes all K regions — concurrently when a pool was
-//     lent, the regions share no mutable state — then merges the per-region
-//     outcomes into one PeriodOutcome in GLOBAL SUBMISSION ORDER (every
-//     task carries a submission sequence number; accepted ids, matches, and
-//     the revenue fold all follow it), so a boundary-free sharded close is
-//     bit-identical to the monolithic engine's at any thread count.
+//   * ClosePeriod closes all K regions — one ParallelFor shard per region
+//     on the lent pool, the regions share no mutable state — then merges
+//     the per-region outcomes into one PeriodOutcome in GLOBAL SUBMISSION
+//     ORDER (every task carries a submission sequence number; accepted
+//     ids, matches, and the revenue fold all follow it), so a
+//     boundary-free sharded close is bit-identical to the monolithic
+//     engine's at any thread count.
 //   * After the merge, a deterministic BOUNDARY-STITCH pass reconciles the
 //     seams: accepted-but-unmatched tasks in boundary cells are offered to
 //     idle unmatched workers of neighboring regions whose reach disc covers
@@ -62,8 +63,9 @@ class ShardedMarketEngine {
   ///        (warm all of them against the SAME oracle stream to make their
   ///        learned state identical — see DESIGN.md §13). Non-owning.
   /// \param options lifecycle/MC knobs as for MarketEngine. `options.pool`
-  ///        parallelizes ACROSS regions (each region engine runs serially
-  ///        inside).
+  ///        is shared by the region closes (one shard per region) and the
+  ///        region engines, which lend it to their strategies; a region's
+  ///        own ParallelFor runs inline when its close is on a pool worker.
   ShardedMarketEngine(const GridPartition* grid,
                       const RegionPartition* partition,
                       std::vector<PricingStrategy*> strategies,
@@ -200,7 +202,6 @@ class ShardedMarketEngine {
   const GridPartition* grid_;
   const RegionPartition* partition_;
   EngineOptions options_;
-  ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<MarketEngine>> regions_;
   std::vector<int> owner_of_cell_;  // cell id -> owning region
 

@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace maps {
+namespace {
+
+// Set on every pool worker thread (of any pool); see ParallelFor.
+thread_local bool tls_pool_worker = false;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
@@ -48,6 +55,7 @@ void ThreadPool::Submit(std::function<void(int)> fn) {
 }
 
 void ThreadPool::WorkerLoop(int worker) {
+  tls_pool_worker = true;
   while (true) {
     std::function<void(int)> task;
     {
@@ -104,23 +112,25 @@ void ParallelFor(ThreadPool* pool, const std::vector<IndexRange>& shards,
                  const std::function<void(int shard, const IndexRange& range,
                                           int worker)>& fn) {
   if (shards.empty()) return;
-  if (pool == nullptr || pool->num_threads() == 1 || shards.size() == 1) {
+  if (pool == nullptr || pool->num_threads() == 1 || shards.size() == 1 ||
+      tls_pool_worker) {
     // Inline path: worker index 0, identical shard order. Keeping this path
     // byte-for-byte equivalent to the pooled one is what lets the serial
-    // API be "parallel with one shard".
+    // API be "parallel with one shard", and lets a pool worker's nested
+    // call run here instead of waiting on the pool it is running on.
     for (size_t s = 0; s < shards.size(); ++s) {
       fn(static_cast<int>(s), shards[s], 0);
     }
     return;
   }
-  internal::Latch latch(static_cast<int>(shards.size()));
+  std::latch latch(static_cast<std::ptrdiff_t>(shards.size()));
   for (size_t s = 0; s < shards.size(); ++s) {
     pool->Submit([&, s](int worker) {
       fn(static_cast<int>(s), shards[s], worker);
-      latch.Done();
+      latch.count_down();
     });
   }
-  latch.Wait();
+  latch.wait();
 }
 
 }  // namespace maps

@@ -14,6 +14,10 @@
 // (the PR 1 workspace-pooling contract) and shards reuse them without
 // locking. Scratch contents must not affect results — they are cleared by
 // the consumer before use, exactly like PossibleWorldsWorkspace.
+//
+// Nesting: a ParallelFor issued from a pool worker runs inline there
+// (worker 0), so shards may nest calls on the same pool; each caller keeps
+// its per-worker scratch on its own object (DESIGN.md §8, the nest rule).
 
 #pragma once
 
@@ -34,11 +38,19 @@ class Histogram;
 class MetricsRegistry;
 }  // namespace obs
 
+/// \brief Contiguous index shard [begin, end) of a larger range.
+struct IndexRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+  int64_t size() const { return end - begin; }
+};
+
 /// \brief Fixed pool of worker threads consuming a FIFO task queue.
 ///
 /// The pool is reusable across invocations: ParallelFor/ParallelReduce leave
 /// no residual state behind, so one pool can back many sweeps (the
-/// experiment runner holds a single pool for its whole matrix).
+/// experiment runner holds a single pool for its whole matrix, cells
+/// included). ParallelFor/ParallelReduce are the only way onto the pool.
 class ThreadPool {
  public:
   /// \param num_threads worker count; clamped to >= 1. The pool may hold
@@ -50,9 +62,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues one task; `fn` receives the executing worker's index.
-  void Submit(std::function<void(int worker)> fn);
 
   /// Default worker count: MAPS_THREADS env var if set (> 0), otherwise
   /// std::thread::hardware_concurrency().
@@ -66,6 +75,12 @@ class ThreadPool {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
+  friend void ParallelFor(ThreadPool*, const std::vector<IndexRange>&,
+                          const std::function<void(int, const IndexRange&,
+                                                   int)>&);
+
+  /// Enqueues one task; `fn` receives the executing worker's index.
+  void Submit(std::function<void(int worker)> fn);
   void WorkerLoop(int worker);
 
   std::mutex mu_;
@@ -78,38 +93,6 @@ class ThreadPool {
   obs::Histogram* m_task_run_ns_ = nullptr;
 };
 
-namespace internal {
-
-/// Blocks until `Done` has been called `expected` times.
-class Latch {
- public:
-  explicit Latch(int expected) : remaining_(expected) {}
-
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-};
-
-}  // namespace internal
-
-/// \brief Contiguous index shard [begin, end) of a larger range.
-struct IndexRange {
-  int64_t begin = 0;
-  int64_t end = 0;
-  int64_t size() const { return end - begin; }
-};
-
 /// \brief Splits [0, n) into at most `max_shards` near-equal contiguous
 /// ranges. Pure function of (n, max_shards): callers MUST derive
 /// `max_shards` from the problem, not from the thread count, or results
@@ -117,8 +100,9 @@ struct IndexRange {
 std::vector<IndexRange> SplitRange(int64_t n, int64_t max_shards);
 
 /// \brief Runs `fn(shard_index, range, worker)` for every shard on the pool
-/// (inline when `pool` is null or single-shard). Returns after all shards
-/// completed. `fn` must not throw.
+/// (inline when `pool` is null, single-threaded or single-shard, or when
+/// called from a pool worker thread). Returns after all shards completed.
+/// `fn` must not throw.
 void ParallelFor(ThreadPool* pool, const std::vector<IndexRange>& shards,
                  const std::function<void(int shard, const IndexRange& range,
                                           int worker)>& fn);

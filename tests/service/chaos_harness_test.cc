@@ -17,6 +17,7 @@
 //     region counts.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -133,9 +134,10 @@ struct RunTrace {
 /// region fault degrades, it never fails the period). Because deferred
 /// tasks are served at a LATER close than their submission period, the
 /// invariant context gets the cumulative task table instead of the
-/// period's own.
+/// period's own. `after_close`, when set, runs after every close.
 RunTrace DriveChaos(const std::vector<PeriodScript>& script,
-                    ShardedMarketEngine* engine, const std::string& label) {
+                    ShardedMarketEngine* engine, const std::string& label,
+                    const std::function<void()>& after_close = nullptr) {
   RunTrace trace;
   InvariantTracker invariants(label);
   std::vector<Task> all_tasks;
@@ -171,6 +173,7 @@ RunTrace DriveChaos(const std::vector<PeriodScript>& script,
           << label << ": task " << m.task << " matched twice";
     }
     trace.outcomes.push_back(out);
+    if (after_close) after_close();
   }
   trace.deferred_at_end = engine->num_deferred_tasks();
   for (int k = 0; k < engine->num_regions(); ++k) {
@@ -351,6 +354,34 @@ TEST(ChaosHarnessTest, CloseStallIsQuarantinedAndRewoundLikeAFailure) {
     const RunTrace failed = DriveChaos(script, run.engine.get(), fail_text);
     ExpectTracesBitIdentical(failed, stalled, stall_text + " vs " + fail_text,
                              /*compare_health=*/true);
+  }
+}
+
+TEST(ChaosHarnessTest, StallRewindKeepsTheProcessDiagnostics) {
+  // Strategy time and peak footprints describe this process, not the run:
+  // the rewind of a stalled close restores region state from a checkpoint,
+  // but the work the stalled close did was still spent, so neither
+  // diagnostic may drop across it.
+  const GridPartition grid =
+      GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
+  const std::vector<PeriodScript> script = MakeChaosScript(grid, 20260808);
+  ScopedFaultPlan plan("close_stall@r1p6");
+  ShardedRun run = MakeShardedRun(grid, 2, ChaosOptions(true));
+  const MarketEngine& region = *run.engine->region_engine(1);
+  std::vector<double> seconds;
+  std::vector<size_t> peak_bytes;
+  const RunTrace trace =
+      DriveChaos(script, run.engine.get(), "close_stall@r1p6", [&] {
+        seconds.push_back(region.strategy_seconds());
+        peak_bytes.push_back(region.peak_platform_bytes());
+      });
+  ASSERT_EQ(seconds.size(), static_cast<size_t>(kPeriods));
+  ASSERT_EQ(trace.outcomes[6].region_health[1].state,
+            RegionHealth::State::kQuarantined);
+  EXPECT_GT(peak_bytes[5], 0u);
+  for (int t = 1; t < kPeriods; ++t) {
+    EXPECT_GE(seconds[t], seconds[t - 1]) << "period " << t;
+    EXPECT_GE(peak_bytes[t], peak_bytes[t - 1]) << "period " << t;
   }
 }
 

@@ -11,8 +11,11 @@
 #include "../invariants.h"
 #include "../test_util.h"
 #include "geo/region_partition.h"
+#include "market/demand_oracle.h"
+#include "pricing/maps.h"
 #include "rng/random.h"
 #include "sharded_test_util.h"
+#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace maps {
@@ -21,6 +24,7 @@ namespace {
 using testing_util::CellLocalStrategy;
 using testing_util::MakeTask;
 using testing_util::MakeWorker;
+using testing_util::TableOneOracle;
 
 // ---------------------------------------------------------------------------
 // Scripted event streams: one pre-generated sequence drives the serial
@@ -236,6 +240,80 @@ TEST(ShardedEquivalenceTest, SingleRegionMatchesMonolithEvenWithBoundaryWorkers)
   ShardedRun run = MakeShardedRun(grid, 1, options);
   const std::vector<PeriodOutcome> got = Drive(script, run.engine.get());
   ExpectOutcomesBitIdentical(ref, got, "K=1 unfiltered");
+}
+
+// ---------------------------------------------------------------------------
+// The lent pool reaches every layer: region strategies warm up on it, the
+// region closes are dispatched onto it, and each region's MC diagnostic
+// issues its own ParallelFor from the worker running that close (inline
+// there, DESIGN.md §8). None of it may move a byte.
+
+TEST(ShardedPoolBackedTest, RegionWarmupAndMcBitIdenticalAcrossThreads) {
+  const GridPartition grid =
+      GridPartition::Make(Rect{0, 0, 100, 100}, 8, 8).ValueOrDie();
+  const std::vector<PeriodScript> script =
+      MakeBoundaryFreeScript(grid, 12, /*seed=*/4321);
+  const DemandOracle oracle = TableOneOracle(grid.num_cells(), /*seed=*/11);
+
+  struct PooledRun {
+    std::vector<std::string> warm_states;  // SaveState bytes per region
+    std::vector<PeriodOutcome> outcomes;
+  };
+  const auto run_at = [&](int k, int threads) {
+    std::unique_ptr<ThreadPool> pool;
+    EngineOptions options;
+    options.lifecycle.single_use = true;
+    options.mc_worlds = 64;
+    options.mc_oracle = &oracle;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      options.pool = pool.get();
+    }
+    const RegionPartition partition =
+        RegionPartition::Make(grid, k).ValueOrDie();
+    std::vector<std::unique_ptr<Maps>> strategies;
+    std::vector<PricingStrategy*> raw;
+    for (int i = 0; i < k; ++i) {
+      strategies.push_back(std::make_unique<Maps>(MapsOptions{}));
+      raw.push_back(strategies.back().get());
+    }
+    ShardedMarketEngine engine(&grid, &partition, raw, options);
+    // Warm up after construction, as maps_cli does: the engine has already
+    // lent the pool, so the probe schedule runs on it.
+    DemandOracle history = oracle.Fork(7);
+    PooledRun run;
+    for (const auto& strategy : strategies) {
+      EXPECT_TRUE(strategy->Warmup(grid, &history).ok());
+      StateWriter w;
+      EXPECT_TRUE(strategy->SaveState(&w).ok());
+      run.warm_states.push_back(w.data());
+    }
+    run.outcomes = Drive(script, &engine);
+    return run;
+  };
+
+  for (int k : {2, 4}) {
+    const PooledRun ref = run_at(k, 0);
+    double mc_total = 0.0;
+    for (const PeriodOutcome& o : ref.outcomes) {
+      mc_total += o.mc_expected_revenue;
+    }
+    ASSERT_GT(mc_total, 0.0) << "the MC diagnostic must run";
+    for (int threads : {1, 2, 8}) {
+      const std::string label =
+          "K=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      SCOPED_TRACE(label);
+      const PooledRun got = run_at(k, threads);
+      EXPECT_EQ(got.warm_states, ref.warm_states);
+      ExpectOutcomesBitIdentical(ref.outcomes, got.outcomes, label);
+      ASSERT_EQ(got.outcomes.size(), ref.outcomes.size());
+      for (size_t t = 0; t < ref.outcomes.size(); ++t) {
+        EXPECT_EQ(got.outcomes[t].mc_expected_revenue,
+                  ref.outcomes[t].mc_expected_revenue)
+            << "period " << t;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -123,6 +124,41 @@ TEST(ThreadPoolTest, NullPoolRunsInline) {
                 order.push_back(shard);
               });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnAWorkerRunsInline) {
+  // Two workers, four outer shards, each issuing a reduction on the SAME
+  // pool: were the inner shards queued, both workers would wait on work
+  // queued behind the outer shards they are running. A ParallelFor from a
+  // pool worker runs inline there instead (worker index 0) and returns
+  // exactly the null-pool result.
+  const auto inner_sum = [](ThreadPool* pool, int outer, int* max_worker) {
+    return ParallelReduce<double>(
+        pool, SplitRange(1000, 64), 0.0,
+        [&](int /*shard*/, const IndexRange& range, int worker) {
+          *max_worker = std::max(*max_worker, worker);
+          double s = 0.0;
+          for (int64_t i = range.begin; i < range.end; ++i) {
+            s += 1.0 / static_cast<double>(i + 1 + outer);
+          }
+          return s;
+        },
+        [](double acc, double partial) { return acc + partial; });
+  };
+  ThreadPool pool(2);
+  std::vector<double> inner(4, 0.0);
+  std::vector<int> inner_max_worker(4, 0);
+  ParallelFor(&pool, SplitRange(4, 4),
+              [&](int shard, const IndexRange& /*range*/, int /*worker*/) {
+                inner[shard] =
+                    inner_sum(&pool, shard, &inner_max_worker[shard]);
+              });
+  for (int s = 0; s < 4; ++s) {
+    int null_max_worker = 0;
+    EXPECT_EQ(inner[s], inner_sum(nullptr, s, &null_max_worker))
+        << "outer shard " << s;
+    EXPECT_EQ(inner_max_worker[s], 0) << "outer shard " << s;
+  }
 }
 
 TEST(ThreadPoolTest, MoreThreadsThanHardwareCoresStillCorrect) {

@@ -9,11 +9,11 @@
 //
 // Cells (one strategy on one workload) are independent: every strategy
 // instance is fresh and warms up on its own oracle fork, so cell results
-// are bit-identical no matter how many threads execute the matrix. The
-// matrix pool is never lent into a cell — its workers run the cells
-// themselves and nested waits could deadlock — so within-cell parallelism
-// (the strategy's warm-up probes, the MC diagnostic) runs on a second,
-// cell-side pool of the same size; results are bit-identical either way.
+// are bit-identical no matter how many threads execute the matrix. Each
+// cell lends the matrix pool to its own simulation; within-cell
+// parallelism (the strategy's warm-up probes, the MC diagnostic) runs
+// inline on the worker executing the cell, and results are bit-identical
+// either way (DESIGN.md §8).
 //
 // Usage:
 //   experiment_runner --list
@@ -69,7 +69,7 @@ struct ExperimentRun {
 Result<ExperimentRun> RunExperiment(
     const ExperimentSpec& spec,
     const std::vector<StrategyFactory>& strategies, ThreadPool* pool,
-    ThreadPool* cell_pool, int mc_worlds) {
+    int mc_worlds) {
   ExperimentRun run;
   run.name = spec.name;
   run.x_name = spec.x_name;
@@ -110,15 +110,12 @@ Result<ExperimentRun> RunExperiment(
                   // path: strategies draw independent probe randomness.
                   options.warmup_stream = 101 + cell.strategy;
                   // Counter-streamed, so the diagnostic is identical no
-                  // matter how the matrix is threaded. The cell must NOT
-                  // lend the matrix pool to its own simulation (nested
-                  // waits on a fixed pool can deadlock): within-cell work
-                  // runs on the separate cell pool, whose workers never
-                  // wait on the matrix pool. All cell-side parallelism is
-                  // bit-identical to the serial path by the DESIGN.md §8
-                  // policy.
+                  // matter how the matrix is threaded. The cell lends the
+                  // matrix pool to its simulation: on a pool worker its
+                  // ParallelFor runs inline (DESIGN.md §8), and on the
+                  // calling thread (a one-cell matrix) it fans out.
                   options.engine.mc_worlds = mc_worlds;
-                  options.engine.pool = cell_pool;
+                  options.engine.pool = pool;
                   auto result = RunSimulation(workloads[cell.point],
                                               strategy.get(), options);
                   cell.status = result.status();
@@ -249,18 +246,13 @@ int Main(int argc, char** argv) {
   }
 
   ThreadPool pool(threads);
-  // Cell-side pool: its workers only ever run cell-submitted jobs and never
-  // wait on the matrix pool, so the two pools cannot deadlock each other
-  // (see RunExperiment).
-  ThreadPool cell_pool(threads);
   const auto strategies = DefaultStrategies(ExperimentPricing());
   std::vector<ExperimentRun> runs;
   for (const ExperimentSpec& spec : specs) {
     std::cout << "[experiment_runner] running " << spec.name << " ("
               << spec.points.size() << " points x " << strategies.size()
               << " strategies, " << threads << " threads)\n";
-    auto run =
-        RunExperiment(spec, strategies, &pool, &cell_pool, mc_worlds);
+    auto run = RunExperiment(spec, strategies, &pool, mc_worlds);
     if (!run.ok()) {
       std::cerr << spec.name << ": " << run.status() << "\n";
       return 1;
